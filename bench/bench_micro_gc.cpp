@@ -182,37 +182,6 @@ static void BM_PageForEachLiveObject(benchmark::State &State) {
 }
 BENCHMARK(BM_PageForEachLiveObject)->Arg(100)->Arg(25)->Arg(3);
 
-/// Full-cycle mark cost at a given GcConfig::MarkPrefetchDistance over a
-/// pointer-chasing list (the workload software prefetch targets). Arg 0
-/// compiles the hint out; compare 0 vs. 4 vs. 16 in one run.
-static void BM_GcCycleMarkPrefetch(benchmark::State &State) {
-  GcConfig Cfg = microConfig(false);
-  Cfg.MarkPrefetchDistance = static_cast<unsigned>(State.range(0));
-  Runtime RT(Cfg);
-  ClassId Cls = RT.registerClass("m.PfNode", 1, 16);
-  auto M = RT.attachMutator();
-  {
-    Root Head(*M), Cur(*M), Tmp(*M);
-    M->allocate(Head, Cls);
-    M->copyRoot(Head, Cur);
-    for (int I = 0; I < 50000; ++I) {
-      M->allocate(Tmp, Cls);
-      M->storeRef(Cur, 0, Tmp);
-      M->copyRoot(Tmp, Cur);
-    }
-    for (auto _ : State)
-      M->requestGcAndWait();
-  }
-  M.reset();
-  State.counters["prefetches"] = static_cast<double>(
-      RT.metrics().counterValue("mark.prefetch_issued"));
-}
-BENCHMARK(BM_GcCycleMarkPrefetch)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 /// Concurrent livemap marking (the per-object mark CAS).
 static void BM_LivemapParSet(benchmark::State &State) {
   BitMap Map(1 << 20);

@@ -123,12 +123,10 @@ BENCHMARK(BM_ProbeBatchBarrierOnly);
 
 /// End-to-end batched cost with the full simulation inside the flush:
 /// same simulated work as the direct path, minus 255/256 of the
-/// dispatch. Arg = SimcacheSampleShift (0 = exact, n = keep every
-/// 2^n-th event).
+/// dispatch.
 static void BM_ProbeBatchFull(benchmark::State &State) {
   CacheHierarchy H;
   ProbeBatch Batch;
-  Batch.SampleShift = static_cast<uint32_t>(State.range(0));
   SplitMix64 Rng(7);
   for (auto _ : State)
     if (Batch.record(nextProbeAddr(Rng), 8, /*IsStore=*/false))
@@ -136,10 +134,8 @@ static void BM_ProbeBatchFull(benchmark::State &State) {
   Batch.flush(H);
   State.counters["events_simulated"] =
       static_cast<double>(H.counters().Loads);
-  State.counters["events_sampled_out"] =
-      static_cast<double>(Batch.SampledOut);
 }
-BENCHMARK(BM_ProbeBatchFull)->Arg(0)->Arg(1)->Arg(3);
+BENCHMARK(BM_ProbeBatchFull);
 
 /// Exactness check doubling as a bench: replaying one ring through
 /// onBatch must produce the same counters as per-access delivery (the

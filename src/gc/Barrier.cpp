@@ -12,9 +12,13 @@
 
 using namespace hcsgc;
 
+/// Modeled instruction cost of one load-barrier slow path (check, page
+/// lookup, CAS self-heal); fed to the probe when probes are on.
+static constexpr uint64_t BarrierSlowPathCycles = 15;
+
 Oop hcsgc::loadBarrierSlow(GcHeap &Heap, std::atomic<Oop> *Slot,
                            Oop Observed, ThreadContext &Ctx) {
-  Ctx.probeCompute(Heap.config().BarrierSlowPathCycles);
+  Ctx.probeCompute(BarrierSlowPathCycles);
   for (;;) {
     uintptr_t Addr = oopAddr(Observed);
     Page *P = Heap.pageTable().lookup(Addr);

@@ -315,9 +315,6 @@ void GcDriver::drainRelocationSet(EcSet &Ec, CycleRecord &Rec) {
 }
 
 void GcDriver::accumulateTemperatureTiers(uint64_t Cycle) {
-  const GcConfig &Cfg = Heap.config();
-  const unsigned Proven = std::min(Page::MaxColdStreak,
-                                   std::max(1u, Cfg.ColdTempCycles));
   uint64_t Tiers[Page::TempTiers] = {0, 0, 0, 0};
   Heap.allocator().forEachActivePage([&](Page &P) {
     if (!P.tracksTemperature())
@@ -326,10 +323,10 @@ void GcDriver::accumulateTemperatureTiers(uint64_t Cycle) {
     // (same filter the EC selector applies); leave their totals zeroed so
     // the temperature WLB degrades to plain live bytes for them.
     if (P.allocSeq() >= Cycle) {
-      P.accumulateTempTierBytes(Proven); // zeroes stale totals
+      P.accumulateTempTierBytes(); // zeroes stale totals
       return;
     }
-    P.accumulateTempTierBytes(Proven);
+    P.accumulateTempTierBytes();
     for (unsigned T = 0; T < Page::TempTiers; ++T)
       Tiers[T] += P.tempTierBytes(T);
   });
@@ -341,7 +338,6 @@ void GcDriver::accumulateTemperatureTiers(uint64_t Cycle) {
 }
 
 void GcDriver::coldReclaimPass(uint64_t Cycle) {
-  const GcConfig &Cfg = Heap.config();
   Heap.allocator().forEachActivePage([&](Page &P) {
     // Adoption: a settled page whose whole live population proved cold
     // joins the cold tier. All-cold pages keep WLB == live bytes
@@ -360,7 +356,7 @@ void GcDriver::coldReclaimPass(uint64_t Cycle) {
   // Total cold-tier RSS the OS could drop without losing live data (the
   // pages are live, MADV_COLD only deactivates them — never DONTNEED).
   Met.ColdResidentBytes->record(Heap.allocator().coldPageBytes());
-  if (Cfg.ColdReclaim == ColdReclaimMode::Off)
+  if (!Heap.config().ColdReclaim)
     return;
   Heap.allocator().forEachActivePage([&](Page &P) {
     if (P.tier() != PageTier::Cold || P.isPinnedAsTarget() ||
@@ -369,11 +365,9 @@ void GcDriver::coldReclaimPass(uint64_t Cycle) {
     P.setMadviseDone();
     Met.ColdMadviseCalls->increment();
     Met.ColdMadviseBytes->add(P.size());
-    if (Cfg.ColdReclaim == ColdReclaimMode::Madvise) {
 #ifdef MADV_COLD
-      ::madvise(reinterpret_cast<void *>(P.begin()), P.size(), MADV_COLD);
+    ::madvise(reinterpret_cast<void *>(P.begin()), P.size(), MADV_COLD);
 #endif
-    }
   });
 }
 

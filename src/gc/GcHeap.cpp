@@ -28,7 +28,6 @@ static size_t relocReserveBytesFor(const GcConfig &C) {
 GcHeap::GcHeap(const GcConfig &C)
     : Cfg(C), Alloc(C.Geometry, C.MaxHeapBytes, C.ReservedBytes,
                     relocReserveBytesFor(C), C.AllocatorShards,
-                    C.PageCacheBatch, C.PageCacheBatchMax,
                     C.Hotness && C.Temperature,
                     C.Hotness && C.SiteProfiling),
       Trace(C.TraceBufferEvents) {
@@ -45,18 +44,16 @@ GcHeap::GcHeap(const GcConfig &C)
   MediumRefills = &Metrics.counter("alloc.tlab.medium_refills");
   StallUs = &Metrics.histogram("alloc.stall_us");
   // Raw-speed instrumentation (INTERNALS §14): created unconditionally so
-  // the catalog stays config-independent; they only move when probes are
-  // on (batch_*) or the mark path runs with a nonzero prefetch distance.
+  // the catalog stays config-independent; batch_* only move when probes
+  // are on, prefetch_* whenever the mark path runs.
   BatchFlushes = &Metrics.counter("simcache.batch_flushes");
   BatchEvents = &Metrics.counter("simcache.batch_events");
-  BatchSampled = &Metrics.counter("simcache.batch_sampled_out");
   MarkPrefetchIssued = &Metrics.counter("mark.prefetch_issued");
   MarkPrefetchDrains = &Metrics.counter("mark.prefetch_drains");
   // Bind unconditionally so the snapshot.* names always exist in the
   // registry (the metrics catalog is config-independent).
   Snap.bindMetrics(Metrics);
-  Snap.configure(Cfg.SnapshotLogEnabled, Cfg.SnapshotRingCaptures,
-                 Cfg.SnapshotLogPath);
+  Snap.configure(Cfg.SnapshotLogEnabled, Cfg.SnapshotLogPath);
   // site.* counters are created unconditionally (config-independent
   // catalog, same as snapshot.*); the table only exists — and only then
   // advances them — when the knob is on.
@@ -162,12 +159,10 @@ void GcHeap::captureSnapshot(SnapshotPoint Point, uint64_t SnapCycle,
 void GcHeap::registerContext(ThreadContext *Ctx) {
   std::lock_guard<std::mutex> G(ContextLock);
   Ctx->Heap = this;
-  // Bind the probe-batching knob and counter mirrors here so every
-  // context — mutator, worker, coordinator — gets them from one place.
-  Ctx->Batch.SampleShift = Cfg.SimcacheSampleShift;
+  // Bind the probe-batching counter mirrors here so every context —
+  // mutator, worker, coordinator — gets them from one place.
   Ctx->BatchFlushesCtr = BatchFlushes;
   Ctx->BatchEventsCtr = BatchEvents;
-  Ctx->BatchSampledCtr = BatchSampled;
   Contexts.push_back(Ctx);
 }
 

@@ -57,7 +57,7 @@ struct ThreadContext {
   /// Mutators only use the hot target (objects they relocate are hot by
   /// definition). TEMPERATURE adds a third, warm, destination so
   /// GC-side relocation can keep proven-cold survivors (cold streak >=
-  /// ColdTempCycles) apart from merely not-recently-touched ones
+  /// Page::ProvenColdStreak) apart from merely not-recently-touched ones
   /// (INTERNALS §13).
   Page *TargetSmallHot = nullptr;
   Page *TargetSmallWarm = nullptr;
@@ -145,10 +145,6 @@ struct ThreadContext {
       BatchEventsCtr->add(Batch.EventsFlushed - ReportedEvents);
       ReportedEvents = Batch.EventsFlushed;
     }
-    if (BatchSampledCtr && Batch.SampledOut != ReportedSampled) {
-      BatchSampledCtr->add(Batch.SampledOut - ReportedSampled);
-      ReportedSampled = Batch.SampledOut;
-    }
   }
 
   /// Per-thread probe event ring (see simcache/ProbeBatch.h).
@@ -156,7 +152,6 @@ struct ThreadContext {
   /// simcache.batch_* counter mirrors, bound by GcHeap::registerContext.
   Counter *BatchFlushesCtr = nullptr;
   Counter *BatchEventsCtr = nullptr;
-  Counter *BatchSampledCtr = nullptr;
   /// Software prefetches issued on the mark path since the last publish
   /// (drained into mark.prefetch_issued by GcHeap::publishMarkPrefetches).
   uint64_t MarkPrefetchPending = 0;
@@ -164,7 +159,6 @@ struct ThreadContext {
 private:
   uint64_t ReportedFlushes = 0;
   uint64_t ReportedEvents = 0;
-  uint64_t ReportedSampled = 0;
 };
 
 /// Shared collector state.
@@ -198,16 +192,15 @@ public:
   }
 
   /// Drains \p Ctx's pending mark-path prefetch count into
-  /// mark.prefetch_issued and counts one drain pass in
-  /// mark.prefetch_drains when \p CountDrain. Called at the end of each
-  /// drainMarkWork pass and when a mutator flushes its mark buffer.
-  void publishMarkPrefetches(ThreadContext &Ctx, bool CountDrain) {
-    if (Ctx.MarkPrefetchPending != 0) {
-      MarkPrefetchIssued->add(Ctx.MarkPrefetchPending);
-      Ctx.MarkPrefetchPending = 0;
-    }
-    if (CountDrain)
-      MarkPrefetchDrains->increment();
+  /// mark.prefetch_issued and counts the publish in mark.prefetch_drains
+  /// when it carried any. Called at the end of each drainMarkWork pass
+  /// and when a thread flushes its mark buffer.
+  void publishMarkPrefetches(ThreadContext &Ctx) {
+    if (Ctx.MarkPrefetchPending == 0)
+      return;
+    MarkPrefetchIssued->add(Ctx.MarkPrefetchPending);
+    MarkPrefetchDrains->increment();
+    Ctx.MarkPrefetchPending = 0;
   }
 
   /// Captures one per-page heap snapshot at a cycle boundary (\p Point)
@@ -358,7 +351,6 @@ private:
   /// so they exist even with probes off).
   Counter *BatchFlushes = nullptr;
   Counter *BatchEvents = nullptr;
-  Counter *BatchSampled = nullptr;
   /// mark.prefetch_* counters, cached at construction.
   Counter *MarkPrefetchIssued = nullptr;
   Counter *MarkPrefetchDrains = nullptr;

@@ -14,6 +14,13 @@
 
 using namespace hcsgc;
 
+/// Modeled fixed + per-byte instruction cost of relocating one object
+/// (bump allocation, memcpy, forwarding CAS), fed to the probe when
+/// probes are on. Models the copy bandwidth the cache simulator's
+/// prefetch-friendly streams would otherwise hide.
+static constexpr uint64_t RelocateObjectCycles = 40;
+static constexpr double RelocatePerByteCycles = 0.5;
+
 /// Bump-allocates \p Bytes in the thread-local target page referenced by
 /// \p Target, acquiring a fresh page when the current one is full.
 static uintptr_t allocateInTarget(GcHeap &Heap, Page *&Target,
@@ -50,7 +57,7 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
   // definition; GC threads consult the hotmap when COLDPAGE is on. With
   // TEMPERATURE the GC consults the 2-bit counter instead: warm-or-hotter
   // survivors (temp >= 2, or flagged hot this cycle) go to the hot tier,
-  // survivors frozen at temp 0 for >= ColdTempCycles consecutive cycles
+  // survivors frozen at temp 0 for >= Page::ProvenColdStreak cycles
   // are proven cold and segregate onto dedicated cold pages, everything
   // in between lands on warm pages.
   PageSizeClass Cls = Src->sizeClass();
@@ -69,9 +76,7 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
     if (!Ctx.IsGcThread || Src->isHot(OldAddr) || Temp >= 2) {
       TargetSlot = &Ctx.TargetSmallHot;
       Tier = PageTier::Hot;
-    } else if (Temp == 0 &&
-               Streak >= std::min(Page::MaxColdStreak,
-                                  std::max(1u, Cfg.ColdTempCycles))) {
+    } else if (Temp == 0 && Streak >= Page::ProvenColdStreak) {
       TargetSlot = &Ctx.TargetSmallCold;
       Tier = PageTier::Cold;
     } else {
@@ -91,8 +96,8 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
               reinterpret_cast<const void *>(OldAddr), Bytes);
   Ctx.probeStore(NewAddr, static_cast<uint32_t>(Bytes));
 
-  Ctx.probeCompute(Cfg.RelocateObjectCycles +
-                   static_cast<uint64_t>(Cfg.RelocatePerByteCycles *
+  Ctx.probeCompute(RelocateObjectCycles +
+                   static_cast<uint64_t>(RelocatePerByteCycles *
                                          static_cast<double>(Bytes)));
   bool Won = false;
   uintptr_t Final = Fwd->insertOrGet(Off, NewAddr, Won);

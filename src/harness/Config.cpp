@@ -42,12 +42,12 @@ KnobConfig hcsgc::table2Config(int Id) {
       {1, 1, 0.0, 1, 1}, // 18
   };
   // Extensions beyond the paper's table: 19 = config 16 with the 2-bit
-  // temperature counters on, 20 = 19 with simulated cold-page reclaim.
+  // temperature counters on, 20 = 19 with the cold-page reclaim pass.
   if (Id == 19 || Id == 20) {
     KnobConfig K = table2Config(16);
     K.Id = Id;
     K.Temperature = true;
-    K.ColdReclaimSim = Id == 20;
+    K.ColdReclaim = Id == 20;
     return K;
   }
   // 21/22 = 19/20 plus allocation-site profiling with pretenuring.
@@ -83,8 +83,7 @@ GcConfig hcsgc::applyKnobs(GcConfig Base, const KnobConfig &Knobs) {
   Base.RelocateAllSmallPages = Knobs.RelocateAllSmallPages;
   Base.LazyRelocate = Knobs.LazyRelocate;
   Base.Temperature = Knobs.Temperature;
-  Base.ColdReclaim = Knobs.ColdReclaimSim ? ColdReclaimMode::Simulate
-                                          : ColdReclaimMode::Off;
+  Base.ColdReclaim = Knobs.ColdReclaim;
   Base.SiteProfiling = Knobs.SiteProfile;
   return Base;
 }
@@ -101,7 +100,7 @@ std::string hcsgc::describeConfig(const KnobConfig &Knobs) {
   // Extension suffixes — only the new ids carry them, so the paper
   // configs keep their exact Table 2 labels.
   if (Knobs.Temperature)
-    S += Knobs.ColdReclaimSim ? " T1 CR1" : " T1";
+    S += Knobs.ColdReclaim ? " T1 CR1" : " T1";
   if (Knobs.SiteProfile)
     S += " SP1";
   return S;

@@ -174,18 +174,18 @@ void Page::ageTemperature() {
   }
 }
 
-void Page::accumulateTempTierBytes(unsigned ProvenStreak) {
+void Page::accumulateTempTierBytes() {
   for (uint64_t &B : TempTierBytes)
     B = 0;
   ProvenColdBytes = 0;
   if (TempWords.empty())
     return;
-  forEachLiveObject([this, ProvenStreak](uintptr_t Addr) {
+  forEachLiveObject([this](uintptr_t Addr) {
     ObjectView V(Addr);
     uint64_t Bytes = alignUp(V.sizeBytes(), ObjectAlignment);
     unsigned Temp = temperatureOf(Addr);
     TempTierBytes[Temp] += Bytes;
-    if (Temp == 0 && coldStreakOf(Addr) >= ProvenStreak)
+    if (Temp == 0 && coldStreakOf(Addr) >= ProvenColdStreak)
       ProvenColdBytes += Bytes;
   });
 }

@@ -185,6 +185,10 @@ public:
   static constexpr unsigned TempTiers = MaxTemperature + 1;
   /// Saturation bound of the 2-bit cold-streak counter.
   static constexpr unsigned MaxColdStreak = 3;
+  /// Cold streak (consecutive aging walks at temperature 0) at which a
+  /// survivor counts as proven cold: relocation routes it to the cold
+  /// tier and provenColdBytes() counts it.
+  static constexpr unsigned ProvenColdStreak = 2;
 
   /// \returns true when this page carries the temperature plane.
   bool tracksTemperature() const { return !TempWords.empty(); }
@@ -216,10 +220,10 @@ public:
 
   /// Coordinator-only: recomputes the per-tier live-byte totals from the
   /// (terminated) livemap. Valid between mark termination and the next
-  /// clearMarkState; sum over tiers equals liveBytes(). \p ProvenStreak
-  /// is the cold streak at which a temperature-0 object counts as proven
-  /// cold (feeds provenColdBytes()).
-  void accumulateTempTierBytes(unsigned ProvenStreak = MaxColdStreak);
+  /// clearMarkState; sum over tiers equals liveBytes(). Temperature-0
+  /// objects with a cold streak of at least ProvenColdStreak feed
+  /// provenColdBytes().
+  void accumulateTempTierBytes();
 
   /// Per-tier live bytes from the last accumulateTempTierBytes() pass.
   uint64_t tempTierBytes(unsigned Tier) const {

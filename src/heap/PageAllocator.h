@@ -62,6 +62,14 @@ class MetricsRegistry;
 /// Reserves one contiguous region and manages page allocation within it.
 class PageAllocator {
 public:
+  /// Initial small-page units carved from a shard's run map per cache
+  /// refill. Each shard adapts its own batch between 1 and CacheBatchMax,
+  /// driven by refill misses (grow under churn, shrink near full).
+  static constexpr uint32_t CacheBatch = 8;
+  /// Upper bound for the adaptive refill batch (and the size of
+  /// refillCacheLocked's carve buffer).
+  static constexpr uint32_t CacheBatchMax = 64;
+
   /// \param Geo page geometry (sizes must be powers of two).
   /// \param MaxHeapBytes logical heap limit (multiple of small page size).
   /// \param ReservedBytes address space to reserve; defaults to
@@ -74,20 +82,13 @@ public:
   /// \param Shards requested general-pool shard count; 0 picks one per
   ///        hardware thread (capped at 8). Clamped so every shard spans
   ///        at least one medium page — tiny pools collapse to one shard.
-  /// \param CacheBatch initial (and minimum reset point for) small-page
-  ///        units carved from a shard's run map per cache refill; the
-  ///        per-shard batch adapts between 1 and \p CacheBatchMax driven
-  ///        by refill misses (grow under churn, shrink near full).
-  /// \param CacheBatchMax upper bound for the adaptive refill batch;
-  ///        clamped to at least \p CacheBatch.
   /// \param TrackTemperature arm the per-object temperature plane on
   ///        every small page (TEMPERATURE knob; see Page).
   /// \param TrackAllocSites arm the allocation-site side table on every
   ///        small page (SITEPROFILING knob; see Page).
   PageAllocator(const HeapGeometry &Geo, size_t MaxHeapBytes,
                 size_t ReservedBytes = 0, size_t RelocReserveBytes = 0,
-                unsigned Shards = 0, unsigned CacheBatch = 8,
-                unsigned CacheBatchMax = 64, bool TrackTemperature = false,
+                unsigned Shards = 0, bool TrackTemperature = false,
                 bool TrackAllocSites = false);
   ~PageAllocator();
 
@@ -237,7 +238,7 @@ private:
     CountedIndexStack Cache;
     /// Adaptive refill batch size in [1, CacheBatchMax]; written only
     /// under Lock (refill), read lock-free by the free path's bound.
-    std::atomic<uint32_t> CacheTarget{8};
+    std::atomic<uint32_t> CacheTarget{CacheBatch};
     /// Intrusive list of pages owned by this shard: pushed lock-free on
     /// install (head CAS), unlinked only under Lock.
     std::atomic<Page *> OwnedHead{nullptr};
@@ -276,8 +277,6 @@ private:
 
   size_t GeneralUnits = 0;
   unsigned NumGeneralShards = 1;
-  unsigned CacheBatch = 8;
-  unsigned CacheBatchMax = 64;
   bool TrackTemp = false;
   bool TrackSites = false;
   std::vector<std::unique_ptr<Shard>> Shards; // general shards + reserve

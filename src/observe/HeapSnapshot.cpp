@@ -174,10 +174,8 @@ HeapSnapshotter::~HeapSnapshotter() {
     std::fclose(Stream);
 }
 
-void HeapSnapshotter::configure(bool Enabled, size_t RingCapacity,
-                                const std::string &JsonlPath) {
+void HeapSnapshotter::configure(bool Enabled, const std::string &JsonlPath) {
   std::lock_guard<std::mutex> G(Lock);
-  Ring.setCapacity(RingCapacity);
   if (Stream) {
     std::fclose(Stream);
     Stream = nullptr;

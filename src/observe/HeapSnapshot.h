@@ -269,12 +269,8 @@ struct CycleSnapshot {
 /// capture and counts its page records as dropped.
 class SnapshotRing {
 public:
-  explicit SnapshotRing(size_t CapacityCaptures = 128)
+  explicit SnapshotRing(size_t CapacityCaptures)
       : Capacity(CapacityCaptures ? CapacityCaptures : 1) {}
-
-  void setCapacity(size_t CapacityCaptures) {
-    Capacity = CapacityCaptures ? CapacityCaptures : 1;
-  }
 
   /// \returns the number of page records dropped to make room.
   uint64_t push(CycleSnapshot &&S);
@@ -283,10 +279,9 @@ public:
     return {Ring.begin(), Ring.end()};
   }
   size_t size() const { return Ring.size(); }
-  size_t capacity() const { return Capacity; }
 
 private:
-  size_t Capacity;
+  const size_t Capacity;
   std::deque<CycleSnapshot> Ring;
 };
 
@@ -298,6 +293,10 @@ private:
 /// (asserted via alloc.shard.lock_acquisitions in the invariant tests).
 class HeapSnapshotter {
 public:
+  /// Captures retained in memory (2 per cycle when enabled); older ones
+  /// are dropped and counted in snapshot.dropped_records.
+  static constexpr size_t RingCaptures = 128;
+
   HeapSnapshotter() = default;
   ~HeapSnapshotter();
 
@@ -306,8 +305,7 @@ public:
 
   /// Applies the GcConfig::SnapshotLog* knobs: arms the ring and, when
   /// \p JsonlPath is non-empty, opens the streaming JSONL file.
-  void configure(bool Enabled, size_t RingCapacity,
-                 const std::string &JsonlPath);
+  void configure(bool Enabled, const std::string &JsonlPath);
 
   bool enabled() const {
     return EnabledFlag.load(std::memory_order_relaxed);
@@ -334,7 +332,7 @@ public:
 private:
   std::atomic<bool> EnabledFlag{false};
   mutable std::mutex Lock;
-  SnapshotRing Ring;
+  SnapshotRing Ring{RingCaptures};
   std::FILE *Stream = nullptr;
   Counter *Captures = nullptr;
   Counter *PagesRecorded = nullptr;

@@ -13,14 +13,10 @@
 /// (or per flush point: TLAB refill, safepoint park, counter read, thread
 /// detach — see INTERNALS §14 for the flush protocol).
 ///
-/// Determinism: events replay in FIFO order, so at SampleShift == 0 the
-/// simulated cache state and every counter are bit-identical to the
-/// per-access path — modeled compute cycles are an order-independent sum
-/// and are drained separately through onCompute. SampleShift > 0 keeps
-/// only every 2^shift-th event (deterministic modulus on a per-thread
-/// tick, not randomness), trading simulation fidelity for speed; it can
-/// never skew WLB or any GC decision because the hotmap/livemap planes do
-/// not flow through probes at all.
+/// Determinism: events replay in FIFO order, so the simulated cache state
+/// and every counter are bit-identical to the per-access path — modeled
+/// compute cycles are an order-independent sum and are drained separately
+/// through onCompute.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +41,6 @@ struct ProbeBatch {
 
   ProbeEvent Events[Capacity];
   uint32_t Count = 0;
-  /// Keep every 2^SampleShift-th event (0 = keep all). Bound from
-  /// GcConfig::SimcacheSampleShift at context registration.
-  uint32_t SampleShift = 0;
-  uint64_t SampleTick = 0;
   /// Modeled compute cycles accumulated since the last flush. A plain
   /// sum — order against memory events does not affect any counter — so
   /// it needs no ring slots and never forces a flush by itself.
@@ -58,18 +50,12 @@ struct ProbeBatch {
   // owning ThreadContext (ProbeBatch itself stays observe-free).
   uint64_t Flushes = 0;
   uint64_t EventsFlushed = 0;
-  uint64_t SampledOut = 0;
 
   bool empty() const { return Count == 0 && PendingCompute == 0; }
 
   /// Appends one access. \returns true when the ring just filled and the
   /// caller must flush before recording more.
   bool record(uintptr_t Addr, uint32_t Bytes, bool IsStore) {
-    if (SampleShift != 0 &&
-        (SampleTick++ & ((uint64_t(1) << SampleShift) - 1)) != 0) {
-      ++SampledOut;
-      return false;
-    }
     Events[Count] = {Addr, Bytes, IsStore ? 1u : 0u};
     return ++Count == Capacity;
   }

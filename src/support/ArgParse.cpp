@@ -7,9 +7,19 @@
 
 #include "support/ArgParse.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 using namespace hcsgc;
+
+[[noreturn]] static void badValue(const std::string &Key,
+                                  const std::string &Value,
+                                  const char *Expected) {
+  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+               Key.c_str(), Value.c_str(), Expected);
+  std::exit(2);
+}
 
 ArgParse::ArgParse(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
@@ -27,18 +37,7 @@ ArgParse::ArgParse(int Argc, char **Argv) {
 
 const std::string *ArgParse::lookup(const std::string &Key) const {
   auto It = Values.find(Key);
-  if (It != Values.end())
-    return &It->second;
-  auto EnvIt = EnvCache.find(Key);
-  if (EnvIt != EnvCache.end())
-    return EnvIt->second.empty() ? nullptr : &EnvIt->second;
-  std::string EnvName = "HCSGC_";
-  for (char C : Key)
-    EnvName += C == '-' ? '_' : static_cast<char>(std::toupper(C));
-  const char *Env = std::getenv(EnvName.c_str());
-  auto &Slot = EnvCache[Key];
-  Slot = Env ? Env : "";
-  return Slot.empty() ? nullptr : &Slot;
+  return It == Values.end() ? nullptr : &It->second;
 }
 
 std::string ArgParse::getString(const std::string &Key,
@@ -47,14 +46,32 @@ std::string ArgParse::getString(const std::string &Key,
   return V ? *V : Default;
 }
 
+int64_t ArgParse::parseInt(const std::string &Key, const std::string &Value) {
+  const char *Begin = Value.c_str();
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Begin, &End, 0);
+  if (End == Begin || *End != '\0' || errno == ERANGE)
+    badValue(Key, Value, "an integer");
+  return N;
+}
+
 int64_t ArgParse::getInt(const std::string &Key, int64_t Default) const {
   const std::string *V = lookup(Key);
-  return V ? std::strtoll(V->c_str(), nullptr, 0) : Default;
+  return V ? parseInt(Key, *V) : Default;
 }
 
 double ArgParse::getDouble(const std::string &Key, double Default) const {
   const std::string *V = lookup(Key);
-  return V ? std::strtod(V->c_str(), nullptr) : Default;
+  if (!V)
+    return Default;
+  const char *Begin = V->c_str();
+  char *End = nullptr;
+  errno = 0;
+  double D = std::strtod(Begin, &End);
+  if (End == Begin || *End != '\0' || errno == ERANGE)
+    badValue(Key, *V, "a number");
+  return D;
 }
 
 bool ArgParse::getBool(const std::string &Key, bool Default) const {

@@ -7,9 +7,8 @@
 ///
 /// \file
 /// A minimal `--key=value` command-line parser for the benchmark and
-/// example binaries. Values also fall back to environment variables named
-/// HCSGC_<KEY> (uppercased, dashes become underscores) so the whole bench
-/// directory can be scaled with one exported variable.
+/// example binaries. The command line is the only source of values, and
+/// a malformed number is a usage error, never a silent 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,26 +26,31 @@ class ArgParse {
 public:
   ArgParse(int Argc, char **Argv);
 
-  /// \returns the string value for \p Key from the command line, then the
-  /// HCSGC_<KEY> environment variable, then \p Default.
+  /// \returns the string value for \p Key from the command line, or
+  /// \p Default.
   std::string getString(const std::string &Key,
                         const std::string &Default) const;
 
-  /// Integer variant of getString.
+  /// Integer variant of getString; the value goes through parseInt.
   int64_t getInt(const std::string &Key, int64_t Default) const;
 
-  /// Floating-point variant of getString.
+  /// Floating-point variant of getString. Exits like parseInt when the
+  /// value is not a number.
   double getDouble(const std::string &Key, double Default) const;
 
-  /// \returns true if `--key` was passed (with or without a value) or the
-  /// environment variable is set to a nonzero/true value.
+  /// \returns true if `--key` was passed without a value or with any
+  /// value other than 0/false/off.
   bool getBool(const std::string &Key, bool Default) const;
+
+  /// Parses \p Value, given for flag `--Key`, as a decimal (or 0x hex)
+  /// integer. A value with no digits, trailing characters or out of
+  /// range prints a message naming the flag and exits with status 2.
+  static int64_t parseInt(const std::string &Key, const std::string &Value);
 
 private:
   const std::string *lookup(const std::string &Key) const;
 
   std::map<std::string, std::string> Values;
-  mutable std::map<std::string, std::string> EnvCache;
 };
 
 } // namespace hcsgc

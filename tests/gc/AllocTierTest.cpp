@@ -53,11 +53,10 @@ uint64_t metric(Runtime &RT, const char *Name) {
 } // namespace
 
 TEST(AllocTierTest, SmallRefillTakesZeroShardLocks) {
-  GcConfig Cfg = quietConfig();
-  // A batch covering every refill below: after the single carve, each
-  // refill pops the cache with no lock anywhere on the path.
-  Cfg.PageCacheBatch = 64;
-  Runtime RT(Cfg);
+  Runtime RT(quietConfig());
+  // The first carve (PageAllocator::CacheBatch = 8 units) covers every
+  // refill below: after it, each refill pops the cache with no lock
+  // anywhere on the path.
   // ~2 KiB objects: well under smallObjectMax (8 KiB), ~32 per 64 KiB
   // TLAB, so 200 allocations force several refills.
   ClassId Cls = RT.registerClass("tier.Small", 0, 2048 - 64);

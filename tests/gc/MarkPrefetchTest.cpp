@@ -3,15 +3,13 @@
 // Part of the HCSGC reproduction of "Improving Program Locality in the GC
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
 //
-// GcConfig::MarkPrefetchDistance is a pure speed hint: prefetches touch
-// no architectural state, so mark results — which objects survive, how
-// many bytes are marked live/hot — must be bit-identical at every
-// distance. This runs the same seeded graph workload at distance 0
-// (prefetching compiled out of the drain), the default 4, and a
-// far-ahead 16, and diffs the outcomes. Runs under TSan in CI via the
-// gc_tests target, so the prefetch bookkeeping (per-context pending
-// counts drained through GcHeap::publishMarkPrefetches) is also raced
-// against parallel mark workers here.
+// The mark path's software prefetches are a pure speed hint: they touch
+// no architectural state, so marking must keep exactly the reachable
+// graph alive while the mark.prefetch_* counters show the hints were
+// issued. Runs under TSan in CI via the gc_tests target, so the prefetch
+// bookkeeping (per-context pending counts drained through
+// GcHeap::publishMarkPrefetches) is also raced against parallel mark
+// workers here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,32 +26,47 @@ using namespace hcsgc;
 
 namespace {
 
-GcConfig testConfig(unsigned PrefetchDistance) {
+GcConfig testConfig() {
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 64 * 1024;
   Cfg.Geometry.MediumPageSize = 1024 * 1024;
   Cfg.MaxHeapBytes = 32u << 20;
   Cfg.GcWorkers = 2;
-  Cfg.MarkPrefetchDistance = PrefetchDistance;
   return Cfg;
 }
 
 /// Everything marking decides, gathered after a fixed cycle schedule.
 struct MarkOutcome {
-  uint64_t Checksum = 0;
+  uint64_t ChecksumBefore = 0;
+  uint64_t ChecksumAfter = 0;
   uint64_t MarkedLiveBytes = 0;
   uint64_t PrefetchIssued = 0;
   uint64_t PrefetchDrains = 0;
   uint64_t Cycles = 0;
 };
 
+/// Checksums the graph reachable from \p Spine (order-deterministic).
+uint64_t checksumSpine(Mutator &M, Root &Spine, Root &Tmp, Root &Other,
+                       uint32_t N) {
+  uint64_t Sum = 0;
+  for (uint32_t I = 0; I < N; ++I) {
+    M.loadElem(Spine, I, Tmp);
+    Sum ^= static_cast<uint64_t>(M.loadWord(Tmp, 0)) * (2 * uint64_t(I) + 1);
+    for (unsigned R = 0; R < 2; ++R) {
+      M.loadRef(Tmp, R, Other);
+      if (!Other.isNull())
+        Sum += static_cast<uint64_t>(M.loadWord(Other, 1)) << R;
+    }
+  }
+  return Sum;
+}
+
 /// Builds a seeded random graph (array spine + cross links + payload),
-/// churns garbage, runs three full cycles, and checksums the survivors
-/// by traversal. Single mutator, so the reachable set per cycle is a
-/// pure function of the seed — any divergence across prefetch distances
-/// is a marking bug.
-MarkOutcome runWorkload(unsigned PrefetchDistance) {
-  Runtime RT(testConfig(PrefetchDistance));
+/// checksums it, churns garbage, runs three full cycles, and checksums
+/// the survivors again by traversal. Single mutator, so the reachable
+/// set per cycle is a pure function of the seed.
+MarkOutcome runWorkload() {
+  Runtime RT(testConfig());
   ClassId Node = RT.registerClass("pf.Node", 2, 16);
   auto M = RT.attachMutator();
   SplitMix64 Rng(test::testSeed(0xFE7C));
@@ -75,24 +88,14 @@ MarkOutcome runWorkload(unsigned PrefetchDistance) {
       M->loadElem(Spine, static_cast<uint32_t>(Rng.next() % N), Other);
       M->storeRef(Tmp, Rng.next() & 1, Other);
     }
+    Out.ChecksumBefore = checksumSpine(*M, Spine, Tmp, Other, N);
     for (int Round = 0; Round < 3; ++Round) {
       // Garbage churn keeps the cycles relocating, not just marking.
       for (int I = 0; I < 2000; ++I)
         M->allocate(Tmp, Node);
       M->requestGcAndWait();
     }
-    // Checksum the survivors through the spine (order-deterministic).
-    for (uint32_t I = 0; I < N; ++I) {
-      M->loadElem(Spine, I, Tmp);
-      Out.Checksum ^= static_cast<uint64_t>(M->loadWord(Tmp, 0)) *
-                      (2 * uint64_t(I) + 1);
-      for (unsigned R = 0; R < 2; ++R) {
-        M->loadRef(Tmp, R, Other);
-        if (!Other.isNull())
-          Out.Checksum += static_cast<uint64_t>(M->loadWord(Other, 1))
-                          << R;
-      }
-    }
+    Out.ChecksumAfter = checksumSpine(*M, Spine, Tmp, Other, N);
   }
   M.reset();
   Out.MarkedLiveBytes = RT.metrics().counterValue("gc.marked.live_bytes");
@@ -104,34 +107,29 @@ MarkOutcome runWorkload(unsigned PrefetchDistance) {
 
 } // namespace
 
-TEST(MarkPrefetchTest, MarkResultsIdenticalAcrossDistances) {
-  MarkOutcome D0 = runWorkload(0);
-  MarkOutcome D4 = runWorkload(4);
-  MarkOutcome D16 = runWorkload(16);
+TEST(MarkPrefetchTest, SurvivorChecksumAndPrefetchCounters) {
+  MarkOutcome A = runWorkload();
+  MarkOutcome B = runWorkload();
 
-  ASSERT_EQ(D0.Cycles, D4.Cycles);
-  ASSERT_EQ(D0.Cycles, D16.Cycles);
+  ASSERT_EQ(A.Cycles, B.Cycles);
+  ASSERT_GE(A.Cycles, 3u);
 
-  // Architectural results: identical regardless of distance.
-  EXPECT_EQ(D0.Checksum, D4.Checksum);
-  EXPECT_EQ(D0.Checksum, D16.Checksum);
-  EXPECT_EQ(D0.MarkedLiveBytes, D4.MarkedLiveBytes);
-  EXPECT_EQ(D0.MarkedLiveBytes, D16.MarkedLiveBytes);
+  // Architectural results: marking keeps the whole reachable graph, and
+  // a rerun marks exactly the same bytes.
+  EXPECT_EQ(A.ChecksumBefore, A.ChecksumAfter);
+  EXPECT_EQ(A.ChecksumAfter, B.ChecksumAfter);
+  EXPECT_EQ(A.MarkedLiveBytes, B.MarkedLiveBytes);
 
-  // Bookkeeping: distance 0 compiles the hint out entirely; nonzero
-  // distances must actually issue and drain.
-  EXPECT_EQ(D0.PrefetchIssued, 0u);
-  EXPECT_EQ(D0.PrefetchDrains, 0u);
-  EXPECT_GT(D4.PrefetchIssued, 0u);
-  EXPECT_GT(D4.PrefetchDrains, 0u);
-  EXPECT_GT(D16.PrefetchIssued, 0u);
+  // Bookkeeping: the hints are actually issued and published.
+  EXPECT_GT(A.PrefetchIssued, 0u);
+  EXPECT_GT(A.PrefetchDrains, 0u);
 }
 
 TEST(MarkPrefetchTest, SurvivorsIntactUnderFarPrefetch) {
-  // Linked list marked with a distance far beyond the buffer's typical
-  // depth: the look-behind guard (N > Dist) must keep every index in
+  // A linked list keeps the mark stack shallower than the prefetch
+  // distance: the look-behind guard (N > Dist) must keep every index in
   // bounds and every node alive.
-  Runtime RT(testConfig(16));
+  Runtime RT(testConfig());
   ClassId Node = RT.registerClass("pf.L", 1, 8);
   auto M = RT.attachMutator();
   {

@@ -229,8 +229,7 @@ TEST(SnapshotInvariantTest, TemperatureCapturesRecomputeAndReplay) {
   GcConfig Cfg = snapConfig(1.0);
   Cfg.Temperature = true;
   Cfg.ColdPage = true;
-  Cfg.ColdTempCycles = 2;
-  Cfg.ColdReclaim = ColdReclaimMode::Simulate;
+  Cfg.ColdReclaim = true;
   Runtime RT(Cfg);
   runMixedWorkload(RT);
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();

@@ -7,6 +7,7 @@
 
 #include "harness/Report.h"
 #include "harness/Runner.h"
+#include "support/ArgParse.h"
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,32 @@ TEST(RunnerTest, ReportPrintsWithoutCrashing) {
   printScoreReport(R, "aux1", "aux2", nullptr, Null);
   printScoreReport(R, "aux1", "aux2", "aux3", Null);
   fclose(Null);
+}
+
+TEST(RunnerTest, ConfigsFlagParsesIds) {
+  char Prog[] = "bench", Flag[] = "--configs=0,16,,21";
+  char *Argv[] = {Prog, Flag};
+  ExperimentSpec Spec;
+  applyCommonFlags(ArgParse(2, Argv), Spec);
+  EXPECT_EQ(Spec.Configs, (std::vector<int>{0, 16, 21}));
+}
+
+TEST(RunnerDeathTest, MalformedConfigIdsAreRejected) {
+  auto Apply = [](const char *Flag) {
+    char Prog[] = "bench";
+    std::string F = Flag;
+    char *Argv[] = {Prog, F.data()};
+    ExperimentSpec Spec;
+    applyCommonFlags(ArgParse(2, Argv), Spec);
+  };
+  EXPECT_EXIT(Apply("--configs=abc"), ::testing::ExitedWithCode(2),
+              "--configs: 'abc'");
+  EXPECT_EXIT(Apply("--configs=0,16x"), ::testing::ExitedWithCode(2),
+              "--configs: '16x'");
+  EXPECT_EXIT(Apply("--configs=23"), ::testing::ExitedWithCode(2),
+              "--configs: 23");
+  EXPECT_EXIT(Apply("--heap-mb=abc"), ::testing::ExitedWithCode(2),
+              "--heap-mb: 'abc'");
 }
 
 TEST(RunnerTest, BenchBaseConfigScalesBudget) {

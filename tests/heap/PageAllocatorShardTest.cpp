@@ -49,9 +49,9 @@ TEST(PageAllocatorShardTest, ShardCountClampsToMediumGranularity) {
 }
 
 TEST(PageAllocatorShardTest, SmallRefillLocksOnlyOnCacheMiss) {
-  PageAllocator A(smallGeo(), 16 << 20, 0, 0, /*Shards=*/4,
-                  /*CacheBatch=*/8);
+  PageAllocator A(smallGeo(), 16 << 20, 0, 0, /*Shards=*/4);
   ASSERT_EQ(A.shardCount(), 4u);
+  static_assert(PageAllocator::CacheBatch == 8);
 
   // One batch worth of small pages from one thread: the first carves a
   // batch under the shard lock (the only lock of the whole sequence),
@@ -68,8 +68,7 @@ TEST(PageAllocatorShardTest, SmallRefillLocksOnlyOnCacheMiss) {
 }
 
 TEST(PageAllocatorShardTest, FreedSmallPageIsReusedWithoutLocking) {
-  PageAllocator A(smallGeo(), 16 << 20, 0, 0, /*Shards=*/4,
-                  /*CacheBatch=*/8);
+  PageAllocator A(smallGeo(), 16 << 20, 0, 0, /*Shards=*/4);
 
   Page *P = A.allocatePage(PageSizeClass::Small, 64, 0);
   ASSERT_NE(P, nullptr);
@@ -88,27 +87,26 @@ TEST(PageAllocatorShardTest, FreedSmallPageIsReusedWithoutLocking) {
 }
 
 TEST(PageAllocatorShardTest, CacheBatchAdaptsToChurnAndToPressure) {
-  // Single shard of 256 units, initial batch 2, max 16: repeated misses
+  // Single shard of 256 units, initial batch 8, max 64: repeated misses
   // with plenty of free space must double the carve batch (churn), and
   // draining the shard below 1/8 free must halve it again.
-  PageAllocator A(smallGeo(), 16 << 20, 16 << 20, 0, /*Shards=*/1,
-                  /*CacheBatch=*/2, /*CacheBatchMax=*/16);
+  PageAllocator A(smallGeo(), 16 << 20, 16 << 20, 0, /*Shards=*/1);
   ASSERT_EQ(A.shardCount(), 1u);
 
   std::vector<Page *> Pages;
-  // Drain most of the shard. Every 2-4-8-16 batch boundary is a miss,
+  // Drain most of the shard. Every 8-16-32-64 batch boundary is a miss,
   // and each miss with >1/8 free space grows the batch.
-  for (unsigned I = 0; I < 200; ++I) {
+  for (unsigned I = 0; I < 120; ++I) {
     Page *P = A.allocatePage(PageSizeClass::Small, 64, 0);
     ASSERT_NE(P, nullptr);
     Pages.push_back(P);
   }
   PageAllocator::AllocStats Mid = A.allocStats();
-  EXPECT_GE(Mid.CacheBatchGrows, 3u) << "2 -> 4 -> 8 -> 16 under churn";
+  EXPECT_GE(Mid.CacheBatchGrows, 3u) << "8 -> 16 -> 32 -> 64 under churn";
 
   // Push the shard below 1/8 free (256/8 = 32 units): further carves
   // must shrink the batch instead.
-  for (unsigned I = 0; I < 40; ++I) {
+  for (unsigned I = 0; I < 120; ++I) {
     Page *P = A.allocatePage(PageSizeClass::Small, 64, 0);
     ASSERT_NE(P, nullptr);
     Pages.push_back(P);
@@ -215,8 +213,7 @@ TEST(PageAllocatorShardTest, MediumAllocFlushesCacheAndCoalesces) {
   // out of the run map; after the small page is freed, a medium request
   // (all 16 units) is only satisfiable if the cached units are flushed
   // back and coalesced with the remaining run.
-  PageAllocator A(smallGeo(), 1 << 20, 1 << 20, 0, /*Shards=*/1,
-                  /*CacheBatch=*/8);
+  PageAllocator A(smallGeo(), 1 << 20, 1 << 20, 0, /*Shards=*/1);
   ASSERT_EQ(A.shardCount(), 1u);
 
   Page *S = A.allocatePage(PageSizeClass::Small, 64, 0);

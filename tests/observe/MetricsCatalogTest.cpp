@@ -168,14 +168,13 @@ TEST(MetricsCatalogTest, EveryMetricFamilyIsExercised) {
     EXPECT_TRUE(Names.count(N)) << N;
 
   // Likewise the raw-speed counters (INTERNALS §14): registered even
-  // when probes are off and MarkPrefetchDistance is 0, so the catalog
-  // diff never depends on the boot config.
+  // when probes are off, so the catalog diff never depends on the boot
+  // config.
   for (const char *N :
        {"simcache.batch_flushes", "simcache.batch_events",
-        "simcache.batch_sampled_out", "mark.prefetch_issued",
-        "mark.prefetch_drains"})
+        "mark.prefetch_issued", "mark.prefetch_drains"})
     EXPECT_TRUE(Names.count(N)) << N;
-  // The boot workload runs with the default nonzero prefetch distance,
-  // so the mark drain must actually account its prefetches.
+  // The boot workload marks, so the mark path must actually account its
+  // prefetches.
   EXPECT_GT(RT->metrics().counterValue("mark.prefetch_issued"), 0u);
 }

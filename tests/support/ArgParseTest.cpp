@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace hcsgc;
 
 static ArgParse parse(std::vector<std::string> Argv) {
@@ -56,18 +54,28 @@ TEST(ArgParseTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(A.getDouble("scale", 1.0), 0.25);
 }
 
-TEST(ArgParseTest, EnvironmentFallback) {
-  setenv("HCSGC_TEST_ENV_KEY", "123", 1);
-  ArgParse A = parse({});
-  EXPECT_EQ(A.getInt("test-env-key", 0), 123);
-  unsetenv("HCSGC_TEST_ENV_KEY");
+TEST(ArgParseTest, IntegerForms) {
+  ArgParse A = parse({"--n=-3", "--hex=0x10"});
+  EXPECT_EQ(A.getInt("n", 0), -3);
+  EXPECT_EQ(A.getInt("hex", 0), 16);
 }
 
-TEST(ArgParseTest, CommandLineBeatsEnvironment) {
-  setenv("HCSGC_PRIO", "1", 1);
-  ArgParse A = parse({"--prio=2"});
-  EXPECT_EQ(A.getInt("prio", 0), 2);
-  unsetenv("HCSGC_PRIO");
+TEST(ArgParseDeathTest, MalformedIntegerNamesTheFlag) {
+  EXPECT_EXIT(parse({"--heap-mb=abc"}).getInt("heap-mb", 64),
+              ::testing::ExitedWithCode(2), "--heap-mb: 'abc'");
+  EXPECT_EXIT(parse({"--runs=3x"}).getInt("runs", 1),
+              ::testing::ExitedWithCode(2), "--runs: '3x'");
+  EXPECT_EXIT(parse({"--runs="}).getInt("runs", 1),
+              ::testing::ExitedWithCode(2), "--runs");
+  EXPECT_EXIT(parse({"--runs=99999999999999999999"}).getInt("runs", 1),
+              ::testing::ExitedWithCode(2), "--runs");
+}
+
+TEST(ArgParseDeathTest, MalformedDoubleNamesTheFlag) {
+  EXPECT_EXIT(parse({"--trigger=abc"}).getDouble("trigger", 0.7),
+              ::testing::ExitedWithCode(2), "--trigger: 'abc'");
+  EXPECT_EXIT(parse({"--trigger=0.5junk"}).getDouble("trigger", 0.7),
+              ::testing::ExitedWithCode(2), "--trigger: '0.5junk'");
 }
 
 TEST(ArgParseTest, NonFlagArgumentsIgnored) {

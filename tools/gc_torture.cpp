@@ -16,7 +16,11 @@
 ///
 /// Usage:
 ///   gc_torture [--seeds=32] [--seed-base=N] [--ops=30000] [--threads=4]
-///              [--kv-seeds=0] [--trace-dir=DIR] [--verbose]
+///              [--kv-seeds=0] [--seconds=0] [--trace-dir=DIR] [--verbose]
+///
+/// --seconds=N is soak mode: instead of --seeds seeds, consecutive seeds
+/// from --seed-base keep running (each with its full heap verification)
+/// until N seconds have passed.
 ///
 /// --kv-seeds=N additionally runs N seeds of the YCSB-style KV workload
 /// (src/workloads/KvWorkload.h) under the same fault plans and seed-bit
@@ -31,6 +35,7 @@
 #include "runtime/Runtime.h"
 #include "support/ArgParse.h"
 #include "support/Random.h"
+#include "support/Stopwatch.h"
 #include "workloads/KvWorkload.h"
 
 #include <cinttypes>
@@ -231,7 +236,7 @@ GcConfig configForSeed(uint64_t Bits, const Options &Opt) {
   Cfg.GcWorkers = 1 + ((Bits >> 5) & 1);
   Cfg.Temperature = Cfg.Hotness && ((Bits >> 6) & 1);
   if (Cfg.Temperature && Cfg.ColdPage && ((Bits >> 7) & 1))
-    Cfg.ColdReclaim = ColdReclaimMode::Simulate;
+    Cfg.ColdReclaim = true;
   Cfg.SiteProfiling = Cfg.Hotness && ((Bits >> 8) & 1);
   // Half the profiling seeds flip routes after only two cycles, so
   // pretenured TLABs appear while the fault plan is still denying
@@ -417,16 +422,23 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned>(Args.getInt("threads", 4));
   Opt.TraceDir = Args.getString("trace-dir", "");
   Opt.Verbose = Args.getBool("verbose", false);
+  const double Seconds = Args.getDouble("seconds", 0);
 
-  uint64_t Failures = 0;
-  for (uint64_t I = 0; I < Opt.Seeds; ++I)
-    if (!runSeed(I, Opt))
+  Stopwatch Soak;
+  auto MoreSeeds = [&](uint64_t I) {
+    if (Seconds > 0)
+      return I == 0 || Soak.elapsedMs() < Seconds * 1000.0;
+    return I < Opt.Seeds;
+  };
+  uint64_t Seeds = 0, Failures = 0;
+  for (; MoreSeeds(Seeds); ++Seeds)
+    if (!runSeed(Seeds, Opt))
       ++Failures;
   for (uint64_t I = 0; I < Opt.KvSeeds; ++I)
     if (!runKvSeed(I, Opt))
       ++Failures;
 
   std::fprintf(stderr, "[torture] %" PRIu64 "/%" PRIu64 " seeds clean\n",
-               Opt.Seeds + Opt.KvSeeds - Failures, Opt.Seeds + Opt.KvSeeds);
+               Seeds + Opt.KvSeeds - Failures, Seeds + Opt.KvSeeds);
   return Failures ? 1 : 0;
 }

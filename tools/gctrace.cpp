@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "observe/SnapshotLog.h"
 #include "observe/TraceJson.h"
 
 #include <algorithm>
@@ -107,26 +108,10 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(Argv[I], "--events=", 9) == 0) {
       DumpEvents = std::atol(Argv[I] + 9);
     } else if (std::strncmp(Argv[I], "--cycles=", 9) == 0) {
-      // A..B (inclusive), or a single cycle number.
-      const char *Spec = Argv[I] + 9;
-      char *End = nullptr;
-      CycleLo = std::strtoull(Spec, &End, 10);
-      if (End == Spec) {
-        std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
-        return 2;
-      }
-      if (End[0] == '.' && End[1] == '.') {
-        const char *Hi = End + 2;
-        CycleHi = std::strtoull(Hi, &End, 10);
-        if (End == Hi) {
-          std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
-          return 2;
-        }
-      } else {
-        CycleHi = CycleLo;
-      }
-      if (CycleHi < CycleLo) {
-        std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
+      // A..B (inclusive), or a single cycle number; same parser as
+      // heapscope, so trailing garbage is rejected.
+      if (!parseCycleRange(Argv[I] + 9, CycleLo, CycleHi)) {
+        std::fprintf(stderr, "bad --cycles range: %s\n", Argv[I] + 9);
         return 2;
       }
     } else if (Argv[I][0] == '-') {
