@@ -48,6 +48,74 @@ static void BM_RandomAccess(benchmark::State &State) {
 }
 BENCHMARK(BM_RandomAccess);
 
+namespace {
+
+/// The "Mixed" stream of tests/simcache/SimcacheReferenceTest.cpp:
+/// interleaved forward, backward and jittered streams, repeats of the
+/// last line, dense and spread random accesses, a quarter of them
+/// stores. Unlike the pure cases above it keeps the prefetcher's match
+/// path, its bucket aliases and its victim choice all busy.
+class MixedStream {
+public:
+  static constexpr uintptr_t Base = uintptr_t(1) << 36;
+  static constexpr uint64_t SpanLines = (64ull << 20) / 64;
+
+  explicit MixedStream(uint64_t Seed) : Rng(Seed) {
+    for (uint64_t &C : Cursors)
+      C = Rng.nextBelow(SpanLines);
+  }
+
+  ProbeEvent next() {
+    uint64_t Pick = Rng.nextBelow(16);
+    uint64_t Line;
+    if (Pick < 3) {
+      Line = Cursors[0]++;
+    } else if (Pick < 5) {
+      Line = Cursors[1]--;
+    } else if (Pick < 7) {
+      Cursors[2] += Rng.nextBelow(3);
+      Line = Cursors[2];
+    } else if (Pick < 10) {
+      Line = LastLine;
+    } else if (Pick < 13) {
+      Line = Cursors[3] + Rng.nextBelow(512);
+    } else {
+      Line = Rng.nextBelow(SpanLines);
+    }
+    Line %= SpanLines;
+    LastLine = Line;
+    return {Base + Line * 64 + Rng.nextBelow(56), 8,
+            Pick % 4 == 0 ? 1u : 0u};
+  }
+
+private:
+  SplitMix64 Rng;
+  uint64_t Cursors[4];
+  uint64_t LastLine = 0;
+};
+
+} // namespace
+
+static void BM_MixedAccess(benchmark::State &State) {
+  CacheHierarchy H;
+  MixedStream Gen(7);
+  for (auto _ : State) {
+    ProbeEvent E = Gen.next();
+    if (E.IsStore)
+      H.onStore(E.Addr, E.Bytes);
+    else
+      H.onLoad(E.Addr, E.Bytes);
+  }
+  uint64_t Accesses = H.counters().Loads + H.counters().Stores;
+  State.counters["l1_miss_rate"] =
+      static_cast<double>(H.counters().L1Misses) /
+      static_cast<double>(Accesses);
+  State.counters["prefetches_per_access"] =
+      static_cast<double>(H.counters().PrefetchesIssued) /
+      static_cast<double>(Accesses);
+}
+BENCHMARK(BM_MixedAccess);
+
 static void BM_NoPrefetchSeq(benchmark::State &State) {
   CacheConfig Cfg;
   Cfg.PrefetchEnabled = false;

@@ -455,11 +455,14 @@ void GcDriver::runCycle(bool Emergency) {
     // the medium TLABs that replaced the old shared medium page — there
     // is no longer any global allocation page to reset separately. The
     // one exception is the pretenure TLAB: it keeps its pin so EC skips
-    // the slowly-filling cold page instead of churning it.
+    // the slowly-filling cold page instead of churning it. Pretenure
+    // pages retired since the last STW1 unpin now: this cycle's marking
+    // is the first to cover every object bumped into them.
     Heap.forEachContext([](ThreadContext &C) {
       assert(C.MarkBuffer.empty() && "mark buffer survived across cycles");
       C.resetAllocTargets();
     });
+    Heap.unpinRetiredPretenurePages();
     Hooks.ForEachRoot(
         [&](std::atomic<Oop> *Slot) { markSlot(Heap, Slot, CoordCtx); });
     flushMarkBuffer(Heap, CoordCtx);

@@ -166,6 +166,26 @@ void GcHeap::registerContext(ThreadContext *Ctx) {
   Contexts.push_back(Ctx);
 }
 
+void ThreadContext::releaseAllocTargets() {
+  resetAllocTargets();
+  if (PretenureAllocPage) {
+    Heap->retirePretenurePage(PretenureAllocPage);
+    PretenureAllocPage = nullptr;
+  }
+}
+
+void GcHeap::retirePretenurePage(Page *P) {
+  std::lock_guard<std::mutex> G(RetiredLock);
+  RetiredPretenure.push_back(P);
+}
+
+void GcHeap::unpinRetiredPretenurePages() {
+  std::lock_guard<std::mutex> G(RetiredLock);
+  for (Page *P : RetiredPretenure)
+    P->unpinAsTarget();
+  RetiredPretenure.clear();
+}
+
 void GcHeap::unregisterContext(ThreadContext *Ctx) {
   std::lock_guard<std::mutex> G(ContextLock);
   Contexts.erase(std::remove(Contexts.begin(), Contexts.end(), Ctx),

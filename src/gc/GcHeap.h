@@ -88,8 +88,8 @@ struct ThreadContext {
   /// page whose low live ratio makes it a bargain EC candidate — the
   /// selector would relocate the very bytes pretenuring just placed.
   /// EC skips pinned pages instead, so the page stays invisible until
-  /// it fills, unpins, and competes as an ordinary (by then all-cold,
-  /// near-full) page.
+  /// it fills, is retired (GcHeap::retirePretenurePage), and competes
+  /// as an ordinary (by then all-cold, near-full) page.
   void resetAllocTargets() {
     for (Page *P : {TargetSmallHot, TargetSmallWarm, TargetSmallCold,
                     TargetMedium, AllocPage, MediumAllocPage})
@@ -102,14 +102,8 @@ struct ThreadContext {
   }
 
   /// Full release for thread detach: everything resetAllocTargets drops
-  /// plus the persistent pretenure TLAB.
-  void releaseAllocTargets() {
-    resetAllocTargets();
-    if (PretenureAllocPage) {
-      PretenureAllocPage->unpinAsTarget();
-      PretenureAllocPage = nullptr;
-    }
-  }
+  /// plus the persistent pretenure TLAB, which is retired to the heap.
+  void releaseAllocTargets();
 
   // Batched probe recording (INTERNALS §14): the instrumented fast path
   // is a bounds-checked store into the ring plus an increment; the
@@ -260,6 +254,16 @@ public:
 
   // --- Allocation helpers ---------------------------------------------------
 
+  /// Takes over a pretenure TLAB page its thread stopped bumping into
+  /// (refill or detach). The page predates the cycle, so objects bumped
+  /// into it since this cycle's STW1 are neither marked nor implicitly
+  /// live; it stays pinned, out of EC selection, until the next STW1,
+  /// after which a full marking covers it.
+  void retirePretenurePage(Page *P);
+
+  /// Unpins every page retired so far. Called inside STW1.
+  void unpinRetiredPretenurePages();
+
   /// Slow path for medium and large objects: refills \p Ctx's medium
   /// TLAB (pinning the fresh page) or allocates a dedicated large page.
   /// The caller's bump into MediumAllocPage is the lock-free fast path.
@@ -341,6 +345,9 @@ private:
 
   std::mutex ContextLock;
   std::vector<ThreadContext *> Contexts;
+
+  std::mutex RetiredLock;
+  std::vector<Page *> RetiredPretenure; ///< Guarded by RetiredLock.
 
   /// Mirror of alloc.tlab.medium_refills, cached at construction.
   Counter *MediumRefills = nullptr;

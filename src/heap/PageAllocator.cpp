@@ -106,6 +106,7 @@ PageAllocator::PageAllocator(const HeapGeometry &Geo, size_t MaxHeapBytes,
                                            : S->BeginUnit + PerShard;
     if (S->EndUnit > S->BeginUnit)
       S->Runs[S->BeginUnit] = S->EndUnit - S->BeginUnit;
+    S->TouchedEnd = S->BeginUnit;
     Shards.push_back(std::move(S));
   }
   // The relocation reserve is one extra shard past the general pool.
@@ -114,6 +115,7 @@ PageAllocator::PageAllocator(const HeapGeometry &Geo, size_t MaxHeapBytes,
   R->EndUnit = GeneralUnits + RelocReserve / Geo.SmallPageSize;
   if (R->EndUnit > R->BeginUnit)
     R->Runs[R->BeginUnit] = R->EndUnit - R->BeginUnit;
+  R->TouchedEnd = R->BeginUnit;
   Shards.push_back(std::move(R));
 }
 
@@ -153,6 +155,7 @@ void PageAllocator::bindMetrics(MetricsRegistry &MR) {
   CtrQuarLocks = &MR.counter("alloc.quarantine.release_locks");
   CtrQuarPages = &MR.counter("alloc.quarantine.pages_released");
   CtrColdPages = &MR.counter("coldpage.pages_allocated");
+  CtrUnitsTouched = &MR.counter("alloc.units_touched");
 }
 
 void PageAllocator::notePageTier(Page *P, PageTier T) {
@@ -180,6 +183,7 @@ PageAllocator::AllocStats PageAllocator::allocStats() const {
   S.QuarantineBatchPasses = StQuarBatches.load(std::memory_order_relaxed);
   S.QuarantineReleaseLocks = StQuarLocks.load(std::memory_order_relaxed);
   S.QuarantinePagesReleased = StQuarPages.load(std::memory_order_relaxed);
+  S.UnitsTouched = StUnitsTouched.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -192,9 +196,32 @@ size_t PageAllocator::takeRunLocked(Shard &S, size_t Units) {
     S.Runs.erase(It);
     if (Len > Units)
       S.Runs[Offset + Units] = Len - Units;
+    noteCarvedLocked(S, Offset, Units);
     return Offset;
   }
   return SIZE_MAX;
+}
+
+void PageAllocator::noteCarvedLocked(Shard &S, size_t Offset, size_t Units) {
+  // Carving is lowest-first, so a carve that reaches past TouchedEnd
+  // starts at or below it: the units below are touched free units, the
+  // rest extend the touched prefix.
+  size_t End = Offset + Units;
+  assert(Offset <= S.TouchedEnd && "carve skipped never-touched units");
+  S.TouchedFree.fetch_sub(std::min(End, S.TouchedEnd) - Offset,
+                          std::memory_order_relaxed);
+  if (End > S.TouchedEnd) {
+    size_t Fresh = End - S.TouchedEnd;
+    S.TouchedEnd = End;
+    StUnitsTouched.fetch_add(Fresh, std::memory_order_relaxed);
+    if (CtrUnitsTouched)
+      CtrUnitsTouched->add(Fresh);
+  }
+}
+
+void PageAllocator::freeRunLocked(Shard &S, size_t Offset, size_t Units) {
+  addRunToMap(S.Runs, Offset, Units);
+  S.TouchedFree.fetch_add(Units, std::memory_order_relaxed);
 }
 
 void PageAllocator::addRunToMap(std::map<size_t, size_t> &Runs,
@@ -232,19 +259,22 @@ void PageAllocator::removeRangeFromMap(std::map<size_t, size_t> &Runs,
     Runs[Offset + Units] = RunOff + RunLen - (Offset + Units);
 }
 
-size_t PageAllocator::refillCacheLocked(Shard &S) {
+size_t PageAllocator::refillCacheLocked(Shard &S, size_t Limit) {
   uint32_t Target = S.CacheTarget.load(std::memory_order_relaxed);
   size_t Want = Target;
   size_t Carved[CacheBatchMax];
   size_t NumCarved = 0;
-  while (Want > 0 && !S.Runs.empty() && NumCarved < CacheBatchMax) {
+  while (Want > 0 && !S.Runs.empty() && NumCarved < CacheBatchMax &&
+         S.Runs.begin()->first < Limit) {
     auto It = S.Runs.begin();
     size_t Offset = It->first;
     size_t Len = It->second;
-    size_t Take = std::min({Want, Len, CacheBatchMax - NumCarved});
+    size_t Take = std::min({Want, Len, CacheBatchMax - NumCarved,
+                            Limit - Offset});
     S.Runs.erase(It);
     if (Len > Take)
       S.Runs[Offset + Take] = Len - Take;
+    noteCarvedLocked(S, Offset, Take);
     for (size_t I = 0; I < Take; ++I)
       Carved[NumCarved++] = Offset + I;
     Want -= Take;
@@ -294,7 +324,7 @@ void PageAllocator::flushCacheLocked(Shard &S) {
   uint32_t Drained = 0;
   UnitLinkFn Links = unitLinks();
   while (Idx != CountedIndexStack::Nil) {
-    addRunToMap(S.Runs, Idx, 1);
+    freeRunLocked(S, Idx, 1);
     Idx = Links(Idx).load(std::memory_order_relaxed);
     ++Drained;
   }
@@ -358,35 +388,48 @@ Page *PageAllocator::allocateSmallPage(size_t PageBytes,
                                        uint64_t AllocSeq) {
   unsigned Home = homeShard();
   UnitLinkFn Links = unitLinks();
-  for (unsigned I = 0; I < NumGeneralShards; ++I) {
-    if (I == 1)
-      note(StFallbacks, CtrFallbacks);
-    Shard &S = *Shards[(Home + I) % NumGeneralShards];
+  // Pass 0 is touched-first: it takes only units some page has already
+  // used — a cached unit, or a free run-map unit below TouchedEnd — from
+  // any shard, home first. Only pass 1 may carve never-touched units
+  // (INTERNALS §10). A shard with no touched free unit in its run map is
+  // skipped on a lock-free peek, so pass 0 takes no lock on a heap with
+  // nothing to recycle.
+  for (unsigned Pass = 0; Pass < 2; ++Pass) {
+    for (unsigned I = 0; I < NumGeneralShards; ++I) {
+      Shard &S = *Shards[(Home + I) % NumGeneralShards];
 
-    // Fast refill: pop a cached unit — zero locks end to end.
-    uint32_t Unit = S.Cache.pop(Links);
-    if (Unit != CountedIndexStack::Nil) {
-      note(StCacheHits, CtrCacheHits);
-      return installPage(S, Unit, PageBytes, PageSizeClass::Small,
+      // Fast refill: pop a cached unit — zero locks end to end.
+      uint32_t Unit = S.Cache.pop(Links);
+      if (Unit != CountedIndexStack::Nil) {
+        if (I != 0)
+          note(StFallbacks, CtrFallbacks);
+        note(StCacheHits, CtrCacheHits);
+        return installPage(S, Unit, PageBytes, PageSizeClass::Small,
+                           AllocSeq);
+      }
+      if (Pass == 0 && S.TouchedFree.load(std::memory_order_relaxed) == 0)
+        continue;
+
+      // Cache miss: take the shard lock and carve a batch from the run
+      // map (the only lock on the small-page path).
+      std::lock_guard<std::mutex> G(S.Lock);
+      note(StShardLocks, CtrShardLocks);
+      size_t Offset = refillCacheLocked(S, Pass == 0 ? S.TouchedEnd
+                                                     : S.EndUnit);
+      if (Offset == SIZE_MAX) {
+        // Nothing to carve, but a unit freed concurrently may have been
+        // pushed onto the cache between our pop and the lock.
+        Unit = S.Cache.pop(Links);
+        if (Unit == CountedIndexStack::Nil)
+          continue; // nothing here; try the next shard
+        Offset = Unit;
+      }
+      if (I != 0)
+        note(StFallbacks, CtrFallbacks);
+      note(StCacheMisses, CtrCacheMisses);
+      return installPage(S, Offset, PageBytes, PageSizeClass::Small,
                          AllocSeq);
     }
-
-    // Cache miss: take the shard lock and carve a fresh batch from the
-    // run map (the only lock on the small-page path).
-    std::lock_guard<std::mutex> G(S.Lock);
-    note(StShardLocks, CtrShardLocks);
-    size_t Offset = refillCacheLocked(S);
-    if (Offset == SIZE_MAX) {
-      // The run map is dry, but a unit freed concurrently may have been
-      // pushed onto the cache between our pop and the lock.
-      Unit = S.Cache.pop(Links);
-      if (Unit == CountedIndexStack::Nil)
-        continue; // this shard is out of units; fall back
-      Offset = Unit;
-    }
-    note(StCacheMisses, CtrCacheMisses);
-    return installPage(S, Offset, PageBytes, PageSizeClass::Small,
-                       AllocSeq);
   }
   return nullptr;
 }
@@ -457,8 +500,10 @@ Page *PageAllocator::takeRunAcrossShards(size_t Units, size_t PageBytes,
     Shard &S = *Shards[I];
     size_t B = std::max(FoundOff, S.BeginUnit);
     size_t E = std::min(End, S.EndUnit);
-    if (B < E)
+    if (B < E) {
       removeRangeFromMap(S.Runs, B, E - B);
+      noteCarvedLocked(S, B, E - B);
+    }
   }
   note(StCrossShard, CtrCrossShard);
   // The page is owned by the shard holding its first unit.
@@ -597,7 +642,7 @@ uint64_t PageAllocator::releaseQuarantinedBefore(uint64_t Cycle) {
       if (Len == 0 || Off >= S.EndUnit)
         continue;
       size_t E = std::min(Off + Len, S.EndUnit);
-      addRunToMap(S.Runs, Off, E - Off);
+      freeRunLocked(S, Off, E - Off);
       Len -= E - Off;
       Off = E;
     }
@@ -614,7 +659,7 @@ uint64_t PageAllocator::releaseQuarantinedBefore(uint64_t Cycle) {
       Table->remove(P->begin(), Units);
       Quarantined.fetch_sub(P->size(), std::memory_order_relaxed);
       size_t InShardEnd = std::min(Offset + Units, S.EndUnit);
-      addRunToMap(S.Runs, Offset, InShardEnd - Offset);
+      freeRunLocked(S, Offset, InShardEnd - Offset);
       if (Offset + Units > InShardEnd)
         Carried.push_back({InShardEnd, Offset + Units - InShardEnd});
       delete P;
@@ -659,7 +704,7 @@ void PageAllocator::giveRun(size_t Offset, size_t Units) {
     Shard &S = shardForUnit(Offset);
     size_t PortionEnd = std::min(End, S.EndUnit);
     std::lock_guard<std::mutex> G(S.Lock);
-    addRunToMap(S.Runs, Offset, PortionEnd - Offset);
+    freeRunLocked(S, Offset, PortionEnd - Offset);
     Offset = PortionEnd;
   }
 }

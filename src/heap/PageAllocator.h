@@ -20,7 +20,11 @@
 /// locks — the pop, the registry insert, the page-table install and the
 /// owned-list push are all lock-free; only a cache miss takes the shard
 /// lock, to carve a fresh batch from the run map. Threads are spread
-/// round-robin over home shards. Multi-unit requests fall back to a
+/// round-robin over home shards. Small-page refills are touched-first:
+/// before any shard carves a never-used unit, every shard is offered the
+/// chance to hand out a unit some page has already used, so the resident
+/// footprint tracks peak occupancy instead of growing with work done.
+/// Multi-unit requests fall back to a
 /// deterministic lock-all pass that merges runs across partition
 /// boundaries, so a request fails only when it would also have failed
 /// under a single free-run map — exhaustion (and with it the PR-2
@@ -190,17 +194,19 @@ public:
     /// multi-unit, fallback, cross-shard, reserve). Excludes
     /// quarantine/release (see QuarantineReleaseLocks).
     uint64_t ShardLockAcquisitions;
-    /// Small-page allocations that had to look beyond their home shard.
+    /// Small-page refills served by a shard other than the home shard,
+    /// and multi-unit allocations that had to look beyond it.
     uint64_t FallbackScans;
     /// Multi-unit allocations satisfied by the lock-all merged-run pass.
     uint64_t CrossShardTakes;
     /// Small-page refills served entirely lock-free from a shard's
     /// cached-unit stack.
     uint64_t CacheHits;
-    /// Small-page refills that took the shard lock (to carve a fresh
-    /// batch, or to catch a unit freed concurrently). On the small-page
-    /// path, ShardLockAcquisitions == CacheMisses + exhausted-shard
-    /// probes; with free units available, locks == misses exactly.
+    /// Small-page refills that took the shard lock (to carve a batch,
+    /// recycled units before fresh ones, or to catch a unit freed
+    /// concurrently). On the small-page path, ShardLockAcquisitions ==
+    /// CacheMisses + exhausted-shard probes; with free units available,
+    /// locks == misses exactly.
     uint64_t CacheMisses;
     /// Adaptive refill-batch doublings (churn evidence).
     uint64_t CacheBatchGrows;
@@ -213,11 +219,15 @@ public:
     uint64_t QuarantineReleaseLocks;
     /// Pages retired by batched passes.
     uint64_t QuarantinePagesReleased;
+    /// Units ever carved out of the run maps (general pool and reserve):
+    /// the heap's touched footprint in small-page units.
+    uint64_t UnitsTouched;
   };
   AllocStats allocStats() const;
 
   /// Mirrors the internal counters into \p MR under the "alloc.shard.*",
-  /// "alloc.cache.*" and "alloc.quarantine.*" names so harness reports
+  /// "alloc.cache.*", "alloc.quarantine.*" and "alloc.units_touched"
+  /// names so harness reports
   /// pick them up. Call before the allocator is shared between threads.
   void bindMetrics(MetricsRegistry &MR);
 
@@ -232,6 +242,13 @@ private:
     /// Free runs: unit offset -> run length in units. Coalesced on free.
     /// Guarded by Lock.
     std::map<size_t, size_t> Runs;
+    /// Units [BeginUnit, TouchedEnd) have all been carved at least once.
+    /// Carving is lowest-first, so the never-touched units are exactly
+    /// the free suffix [TouchedEnd, EndUnit). Guarded by Lock.
+    size_t TouchedEnd = 0;
+    /// Free run-map units below TouchedEnd. Written under Lock; peeked
+    /// lock-free so the touched-first pass skips shards without any.
+    std::atomic<size_t> TouchedFree{0};
     /// Single free units pre-carved for small-page refills. Lock-free
     /// (TreiberStack.h); within a carved batch the lowest offset pops
     /// first (pushed in reverse) for address-ordered reuse.
@@ -304,6 +321,7 @@ private:
   std::atomic<uint64_t> StQuarLocks{0};
   std::atomic<uint64_t> StQuarPages{0};
   std::atomic<uint64_t> StColdPages{0};
+  std::atomic<uint64_t> StUnitsTouched{0};
   Counter *CtrShardLocks = nullptr;
   Counter *CtrFallbacks = nullptr;
   Counter *CtrCrossShard = nullptr;
@@ -315,6 +333,7 @@ private:
   Counter *CtrQuarLocks = nullptr;
   Counter *CtrQuarPages = nullptr;
   Counter *CtrColdPages = nullptr;
+  Counter *CtrUnitsTouched = nullptr;
 
   size_t unitsFor(size_t Bytes) const {
     return divideCeil(Bytes, Geo.SmallPageSize);
@@ -334,13 +353,18 @@ private:
                           uint64_t AllocSeq);
   Page *takeRunAcrossShards(size_t Units, size_t PageBytes,
                             PageSizeClass Cls, uint64_t AllocSeq);
-  /// Carves an adaptively sized batch of single units from the run map:
-  /// the first carved unit is returned for immediate use, the rest are
-  /// pushed onto the shard's lock-free cache. \returns SIZE_MAX if the
-  /// run map is empty.
-  size_t refillCacheLocked(Shard &S);
+  /// Carves an adaptively sized batch of single units below \p Limit
+  /// from the run map: the first carved unit is returned for immediate
+  /// use, the rest are pushed onto the shard's lock-free cache.
+  /// \returns SIZE_MAX if the run map has no unit below \p Limit.
+  size_t refillCacheLocked(Shard &S, size_t Limit);
   void flushCacheLocked(Shard &S);
   size_t takeRunLocked(Shard &S, size_t Units);
+  /// Accounts for [Offset, Offset+Units) having left \p S's run map:
+  /// advances TouchedEnd and the touched-unit tally.
+  void noteCarvedLocked(Shard &S, size_t Offset, size_t Units);
+  /// Returns previously carved units to \p S's run map.
+  static void freeRunLocked(Shard &S, size_t Offset, size_t Units);
   /// Removes [Offset, Offset+Units) from \p Runs; the range must lie
   /// inside a single run.
   static void removeRangeFromMap(std::map<size_t, size_t> &Runs,

@@ -172,7 +172,7 @@ uintptr_t Mutator::allocPretenure(size_t Bytes, SiteRoute Route) {
   if (!P)
     return 0;
   if (Ctx.PretenureAllocPage)
-    Ctx.PretenureAllocPage->unpinAsTarget();
+    Heap.retirePretenurePage(Ctx.PretenureAllocPage);
   P->pinAsTarget();
   Heap.allocator().notePageTier(
       P, Route == SiteRoute::Cold ? PageTier::Cold : PageTier::Warm);

@@ -7,71 +7,22 @@
 
 #include "simcache/Cache.h"
 
+#include "support/Compiler.h"
 #include "support/MathExtras.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace hcsgc;
 
 SetAssocCache::SetAssocCache(uint32_t NumSets, uint32_t Ways)
-    : Sets(NumSets), Assoc(Ways) {
-  assert(isPowerOf2(NumSets) && "set count must be a power of two");
-  assert(Ways >= 1 && "associativity must be at least 1");
-  Entries.resize(static_cast<size_t>(Sets) * Assoc);
-}
-
-void SetAssocCache::touch(Entry *Set, uint32_t Way) {
-  // True LRU via per-entry counters: demote everything more recent than
-  // the touched way, then make it the most recent. Assoc is small (<=16),
-  // so the linear walk is fine.
-  uint32_t Old = Set[Way].Lru;
-  for (uint32_t W = 0; W < Assoc; ++W)
-    if (Set[W].Valid && Set[W].Lru > Old)
-      --Set[W].Lru;
-  Set[Way].Lru = Assoc - 1;
-}
-
-bool SetAssocCache::access(uint64_t Line) {
-  Entry *Set = setFor(Line);
-  uint64_t Tag = Line / Sets;
-  uint32_t Victim = 0;
-  uint32_t VictimLru = ~uint32_t(0);
-  for (uint32_t W = 0; W < Assoc; ++W) {
-    if (Set[W].Valid && Set[W].Tag == Tag) {
-      touch(Set, W);
-      return true;
-    }
-    if (!Set[W].Valid) {
-      Victim = W;
-      VictimLru = 0;
-    } else if (Set[W].Lru < VictimLru) {
-      Victim = W;
-      VictimLru = Set[W].Lru;
-    }
-  }
-  Set[Victim].Valid = true;
-  Set[Victim].Tag = Tag;
-  Set[Victim].Lru = 0;
-  touch(Set, Victim);
-  return false;
-}
-
-void SetAssocCache::fill(uint64_t Line) {
-  // Same as access but the caller does not treat the result as a demand
-  // hit/miss; we simply ensure residency.
-  (void)access(Line);
-}
-
-bool SetAssocCache::contains(uint64_t Line) const {
-  const Entry *Set = setFor(Line);
-  uint64_t Tag = Line / Sets;
-  for (uint32_t W = 0; W < Assoc; ++W)
-    if (Set[W].Valid && Set[W].Tag == Tag)
-      return true;
-  return false;
+    : SetMask(NumSets - 1), Assoc(Ways) {
+  if (!isPowerOf2(NumSets))
+    fatalError("cache set count must be a power of two");
+  if (Ways < 1)
+    fatalError("cache associativity must be at least 1");
+  Lines.assign(static_cast<size_t>(NumSets) * Assoc, EmptyLine);
 }
 
 void SetAssocCache::clear() {
-  for (Entry &E : Entries)
-    E = Entry();
+  std::fill(Lines.begin(), Lines.end(), EmptyLine);
 }

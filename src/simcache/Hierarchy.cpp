@@ -7,6 +7,7 @@
 
 #include "simcache/Hierarchy.h"
 
+#include "support/Compiler.h"
 #include "support/MathExtras.h"
 
 using namespace hcsgc;
@@ -29,13 +30,18 @@ static uint32_t setsFor(uint32_t SizeBytes, uint32_t Ways, uint32_t Line) {
   return Sets ? Sets : 1;
 }
 
+static uint32_t lineShiftFor(uint32_t LineSize) {
+  if (!isPowerOf2(LineSize))
+    fatalError("cache line size must be a power of two");
+  return log2Floor(LineSize);
+}
+
 CacheHierarchy::CacheHierarchy(const CacheConfig &C)
-    : Cfg(C), L1(setsFor(C.L1Size, C.L1Ways, C.LineSize), C.L1Ways),
+    : Cfg(C), LineShift(lineShiftFor(C.LineSize)),
+      L1(setsFor(C.L1Size, C.L1Ways, C.LineSize), C.L1Ways),
       L2(setsFor(C.L2Size, C.L2Ways, C.LineSize), C.L2Ways),
       L3(setsFor(C.L3Size, C.L3Ways, C.LineSize), C.L3Ways),
-      Pf(C.StreamTableSize, C.PrefetchDegree) {
-  PfTargets.reserve(C.PrefetchDegree);
-}
+      Pf(C.StreamTableSize) {}
 
 void CacheHierarchy::flush() {
   L1.clear();
@@ -73,11 +79,14 @@ void CacheHierarchy::demandAccess(uint64_t Line) {
   }
 
   if (Cfg.PrefetchEnabled) {
-    PfTargets.clear();
-    Pf.observe(Line, PfTargets);
-    for (uint64_t T : PfTargets)
-      if (!L1.contains(T))
-        prefetchFill(T);
+    if (int Stride = Pf.observe(Line)) {
+      uint64_t T = Line;
+      for (uint32_t I = 0; I < Cfg.PrefetchDegree; ++I) {
+        T += static_cast<uint64_t>(Stride); // wraps for Stride = -1
+        if (!L1.contains(T))
+          prefetchFill(T);
+      }
+    }
   }
 }
 
@@ -87,8 +96,8 @@ void CacheHierarchy::accessLines(uintptr_t Addr, uint32_t Bytes,
     ++Counters.Stores;
   else
     ++Counters.Loads;
-  uint64_t First = Addr / Cfg.LineSize;
-  uint64_t Last = (Addr + (Bytes ? Bytes - 1 : 0)) / Cfg.LineSize;
+  uint64_t First = Addr >> LineShift;
+  uint64_t Last = (Addr + (Bytes ? Bytes - 1 : 0)) >> LineShift;
   for (uint64_t Line = First; Line <= Last; ++Line)
     demandAccess(Line);
 }

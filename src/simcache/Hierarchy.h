@@ -23,13 +23,12 @@
 #include "simcache/Probe.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace hcsgc {
 
 /// Geometry and latency parameters for the simulated hierarchy.
 struct CacheConfig {
-  uint32_t LineSize = 64;
+  uint32_t LineSize = 64; ///< Power of two.
   uint32_t L1Size = 32 * 1024, L1Ways = 8;
   uint32_t L2Size = 256 * 1024, L2Ways = 8;
   uint32_t L3Size = 4 * 1024 * 1024, L3Ways = 16;
@@ -37,7 +36,7 @@ struct CacheConfig {
   /// ~10x L1-to-LLC ratio the paper reasons with in §4.4 holds.
   uint32_t L1Lat = 4, L2Lat = 12, L3Lat = 40, MemLat = 200;
   uint32_t PrefetchDegree = 4;
-  uint32_t StreamTableSize = 16;
+  uint32_t StreamTableSize = 16; ///< At most StreamPrefetcher::MaxStreams.
   bool PrefetchEnabled = true;
 };
 
@@ -95,10 +94,10 @@ private:
   void prefetchFill(uint64_t Line);
 
   CacheConfig Cfg;
+  uint32_t LineShift; ///< log2(Cfg.LineSize)
   SetAssocCache L1, L2, L3;
   StreamPrefetcher Pf;
   CacheCounters Counters;
-  std::vector<uint64_t> PfTargets; // scratch, avoids per-access allocation
 };
 
 } // namespace hcsgc

@@ -7,59 +7,21 @@
 
 #include "simcache/Prefetcher.h"
 
+#include "support/Compiler.h"
+
 using namespace hcsgc;
 
-StreamPrefetcher::StreamPrefetcher(uint32_t TableSize, uint32_t Degree)
-    : Table(TableSize), Degree(Degree) {}
+StreamPrefetcher::StreamPrefetcher(uint32_t TableSize) : Size(TableSize) {
+  if (TableSize < 1 || TableSize > MaxStreams)
+    fatalError("stream table size must be in [1, 32]");
+  reset();
+}
 
 void StreamPrefetcher::reset() {
   for (Stream &S : Table)
     S = Stream();
-  Tick = 0;
-}
-
-void StreamPrefetcher::observe(uint64_t Line, std::vector<uint64_t> &Targets) {
-  ++Tick;
-
-  // Try to extend an existing stream: a hit is an access within +/-2 lines
-  // of where the stream expects to be heading.
-  Stream *Victim = nullptr;
-  uint32_t VictimAge = 0;
-  for (Stream &S : Table) {
-    if (!S.Valid) {
-      Victim = &S;
-      VictimAge = ~uint32_t(0);
-      continue;
-    }
-    int64_t Delta = static_cast<int64_t>(Line) -
-                    static_cast<int64_t>(S.LastLine);
-    if (Delta != 0 && Delta >= -2 && Delta <= 2 &&
-        (S.Stride == 0 || (Delta > 0) == (S.Stride > 0))) {
-      // Stream continues (we tolerate small jitter from the two-objects-
-      // per-line layout the paper's 32-byte objects produce).
-      S.Stride = Delta > 0 ? 1 : -1;
-      if (S.Confidence < 8)
-        ++S.Confidence;
-      S.LastLine = Line;
-      S.Age = Tick;
-      if (S.Confidence >= 2) {
-        for (uint32_t I = 1; I <= Degree; ++I)
-          Targets.push_back(static_cast<uint64_t>(
-              static_cast<int64_t>(Line) + S.Stride * static_cast<int64_t>(I)));
-      }
-      return;
-    }
-    uint32_t Age = Tick - S.Age;
-    if (!Victim || Age > VictimAge) {
-      Victim = &S;
-      VictimAge = Age;
-    }
-  }
-
-  // No stream matched: start training a new one in the LRU slot.
-  Victim->Valid = true;
-  Victim->LastLine = Line;
-  Victim->Stride = 0;
-  Victim->Confidence = 0;
-  Victim->Age = Tick;
+  for (uint32_t &B : Buckets)
+    B = 0;
+  Invalid = Size;
+  Head = Tail = Nil;
 }

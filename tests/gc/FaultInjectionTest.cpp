@@ -70,6 +70,11 @@ unsigned fillUntilExhausted(Mutator &M, Root &Arr, uint32_t Slots,
 
 TEST(FaultInjectionTest, ExhaustionIsTypedAndRecoverable) {
   GcConfig Cfg = tinyConfig();
+  // Collect only from the stall path, while this mutator is parked. A
+  // background cycle overlapping the fill relocates half-filled TLAB
+  // pages into half-filled targets, and that fragmentation lets a later
+  // cycle free a page, so the probe below could find room by chance.
+  Cfg.TriggerFraction = 1.0;
   Runtime RT(Cfg);
   ClassId Cls = RT.registerClass("fi.Blob", 0, 4096);
   auto M = RT.attachMutator();

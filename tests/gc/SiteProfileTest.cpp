@@ -7,7 +7,8 @@
 // and HCSGC_ALLOC_SITE intern stable ids; the bare SiteProfileTable ages
 // its hot-byte EWMA into warm/cold routes and decays mispredictions
 // back; a full runtime routes a persistently cold site through the
-// pretenure TLAB; equal seeds produce identical profiles.
+// pretenure TLAB, and a retired pretenure page stays pinned until the
+// next STW1; equal seeds produce identical profiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -241,10 +242,10 @@ TEST(SiteProfileTest, EqualSeedsProduceIdenticalProfiles) {
   }
 }
 
-TEST(SiteProfileTest, ColdSiteRoutesThroughPretenureTlab) {
-  // End to end: a tagged site whose objects survive untouched must earn
-  // a non-hot route, after which its allocations flow through the
-  // secondary TLAB and the site.* mirrors see pretenured bytes.
+namespace {
+
+/// Site profiling with only the explicit requestGcAndWait cycles.
+GcConfig pretenureConfig() {
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 64 * 1024;
   Cfg.Geometry.MediumPageSize = 512 * 1024;
@@ -253,7 +254,16 @@ TEST(SiteProfileTest, ColdSiteRoutesThroughPretenureTlab) {
   Cfg.SiteProfiling = true;
   Cfg.SiteProfileCycles = 2;
   Cfg.TriggerFraction = 1.0;
-  Runtime RT(Cfg);
+  return Cfg;
+}
+
+} // namespace
+
+TEST(SiteProfileTest, ColdSiteRoutesThroughPretenureTlab) {
+  // End to end: a tagged site whose objects survive untouched must earn
+  // a non-hot route, after which its allocations flow through the
+  // secondary TLAB and the site.* mirrors see pretenured bytes.
+  Runtime RT(pretenureConfig());
   ClassId Obj = RT.registerClass("sp.cold.Obj", 0, 256);
   auto M = RT.attachMutator();
   SiteId Cold = HCSGC_ALLOC_SITE("sp.cold.archive");
@@ -294,6 +304,53 @@ TEST(SiteProfileTest, ColdSiteRoutesThroughPretenureTlab) {
     M->requestGcAndWait();
     EXPECT_GT(RT.metrics().counterValue("site.pretenured_bytes"), 0u);
     EXPECT_GT(RT.metrics().counterValue("site.tagged_bytes"), 0u);
+  }
+  M.reset();
+  VerifyResult V = RT.verifyHeap();
+  EXPECT_TRUE(V.ok()) << (V.Errors.empty() ? "" : V.Errors.front());
+}
+
+TEST(SiteProfileTest, RetiredPretenurePageStaysPinnedUntilNextStw1) {
+  // A full pretenure TLAB predates the current cycle, so objects bumped
+  // into it after this cycle's STW1 are neither marked nor implicitly
+  // live. Unpinning it at refill let EC select (or reclaim) it without
+  // them; it must stay pinned until the next STW1 (INTERNALS §13).
+  Runtime RT(pretenureConfig());
+  ClassId Obj = RT.registerClass("sp.retire.Obj", 0, 256);
+  auto M = RT.attachMutator();
+  SiteId Cold = HCSGC_ALLOC_SITE("sp.retire.archive");
+  {
+    Root Arr(*M), Tmp(*M);
+    M->allocateRefArray(Arr, 1024);
+    uint32_t Next = 0;
+    auto AllocKept = [&] {
+      M->allocate(Tmp, Obj, Cold);
+      M->storeElem(Arr, Next++ % 1024, Tmp);
+    };
+    for (int Round = 0; Round < 8; ++Round) {
+      for (int I = 0; I < 64; ++I)
+        AllocKept();
+      M->requestGcAndWait();
+    }
+    ASSERT_NE(RT.heap().siteProfile()->routeOf(Cold), SiteRoute::Hot);
+
+    // Fill the current pretenure TLAB until a refill retires it.
+    auto Refills = [&] {
+      return RT.metrics().counterValue("alloc.tlab.pretenure_refills");
+    };
+    AllocKept();
+    Page *First = RT.heap().pageTable().lookup(oopAddr(Tmp.rawOop()));
+    ASSERT_NE(First, nullptr);
+    ASSERT_TRUE(First->isPinnedAsTarget()) << "not a pretenure TLAB";
+    for (uint64_t Open = Refills(); Refills() == Open;)
+      AllocKept();
+    EXPECT_TRUE(First->isPinnedAsTarget())
+        << "retired pretenure page unpinned before the next STW1";
+
+    // Its objects are live (kept in Arr), so the next cycle can neither
+    // reclaim nor release the page: reading it afterwards is safe.
+    M->requestGcAndWait();
+    EXPECT_FALSE(First->isPinnedAsTarget());
   }
   M.reset();
   VerifyResult V = RT.verifyHeap();

@@ -11,7 +11,9 @@
 /// allocStats: locks == misses on the small path), adaptive batch sizing,
 /// the all-shards fallback, the lock-all cross-shard merge that keeps
 /// exhaustion semantics identical to a single free-run map, and the
-/// once-per-shard batched quarantine release. Concurrency coverage lives
+/// once-per-shard batched quarantine release, and touched-first carving
+/// (whose threads are serialized, so its bound is exact). Concurrency
+/// coverage lives
 /// in tests/gc/PageAllocatorStressTest and tests/gc/TreiberStackStressTest
 /// (run under TSan in CI).
 ///
@@ -21,7 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <barrier>
+#include <mutex>
 #include <set>
+#include <thread>
 
 using namespace hcsgc;
 
@@ -262,4 +269,73 @@ TEST(PageAllocatorShardTest, RegistryIterationMatchesSnapshots) {
   Seen.clear();
   A.forEachActivePage([&](Page &P) { Seen.insert(&P); });
   EXPECT_EQ(Seen, Expect);
+}
+
+TEST(PageAllocatorShardTest, TouchedFirstCarvingBoundsTouchedUnits) {
+  // 4 shards of 192 units. Four threads (one per home shard) take turns
+  // under a test mutex, so the bound below is exact. In each phase two
+  // of them free their 100 pages and then the other two allocate 100:
+  // every shard's own occupancy peaks at 100 units, but the total live
+  // count never exceeds 200. Touched-first carving recycles the units
+  // freed through the other shards before carving fresh ones, so the
+  // touched footprint follows the total's peak, not the sum of the
+  // per-shard peaks (400).
+  PageAllocator A(smallGeo(), 16 << 20, 0, 0, /*Shards=*/4);
+  ASSERT_EQ(A.shardCount(), 4u);
+
+  // On an untouched heap the first refill still takes exactly one lock:
+  // the touched-first pass skips every shard on a lock-free peek.
+  Page *First = A.allocatePage(PageSizeClass::Small, 64, 0);
+  ASSERT_NE(First, nullptr);
+  EXPECT_EQ(A.allocStats().ShardLockAcquisitions, 1u);
+  A.releasePage(First);
+
+  constexpr unsigned Threads = 4, Phases = 8;
+  constexpr size_t High = 100;
+  std::mutex Turn;
+  std::barrier Step(Threads);
+  size_t Live = 0, PeakLive = 0;
+  std::atomic<bool> Failed{false};
+  auto Churn = [&](unsigned T) {
+    std::vector<Page *> Mine;
+    for (unsigned Phase = 0; Phase < Phases; ++Phase) {
+      bool Rises = (Phase + T) % 2 == 1;
+      // Fall first, rise after the barrier, one serialized op at a time.
+      while (!Rises && !Mine.empty()) {
+        std::lock_guard<std::mutex> G(Turn);
+        A.releasePage(Mine.back());
+        Mine.pop_back();
+        --Live;
+      }
+      Step.arrive_and_wait();
+      while (Rises && Mine.size() < High && !Failed) {
+        std::lock_guard<std::mutex> G(Turn);
+        Page *P = A.allocatePage(PageSizeClass::Small, 64, 0);
+        if (!P) {
+          Failed = true;
+          break;
+        }
+        Mine.push_back(P);
+        PeakLive = std::max(PeakLive, ++Live);
+      }
+      Step.arrive_and_wait();
+    }
+    std::lock_guard<std::mutex> G(Turn);
+    for (Page *P : Mine)
+      A.releasePage(P);
+  };
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back(Churn, T);
+  for (std::thread &W : Workers)
+    W.join();
+  ASSERT_FALSE(Failed) << "allocation failed below the max heap";
+  EXPECT_EQ(PeakLive, 2 * High);
+
+  // A fresh carve happens only when no cache and no run map holds a
+  // touched free unit, i.e. every touched unit is live; it adds at most
+  // one batch.
+  EXPECT_LE(A.allocStats().UnitsTouched,
+            PeakLive + PageAllocator::CacheBatchMax);
+  EXPECT_EQ(A.usedBytes(), 0u);
 }

@@ -16,86 +16,78 @@
 using namespace hcsgc;
 
 TEST(PrefetcherTest, AscendingStreamLocksAndPrefetchesAhead) {
-  StreamPrefetcher P(8, 4);
-  std::vector<uint64_t> T;
-  for (uint64_t L = 100; L < 110; ++L) {
-    T.clear();
-    P.observe(L, T);
-  }
-  // Locked stream: prefetches the next 4 lines ahead of the last access.
-  ASSERT_EQ(T.size(), 4u);
-  EXPECT_EQ(T[0], 110u);
-  EXPECT_EQ(T[3], 113u);
+  StreamPrefetcher P(8);
+  // The first access trains a stream, the second gives it a direction,
+  // the third locks it: from then on every access prefetches ahead.
+  EXPECT_EQ(P.observe(100), 0);
+  EXPECT_EQ(P.observe(101), 0);
+  for (uint64_t L = 102; L < 110; ++L)
+    EXPECT_EQ(P.observe(L), 1);
 }
 
 TEST(PrefetcherTest, DescendingStreamSupported) {
-  StreamPrefetcher P(8, 2);
-  std::vector<uint64_t> T;
-  for (uint64_t L = 500; L > 490; --L) {
-    T.clear();
-    P.observe(L, T);
-  }
-  ASSERT_EQ(T.size(), 2u);
-  EXPECT_EQ(T[0], 490u);
-  EXPECT_EQ(T[1], 489u);
+  StreamPrefetcher P(8);
+  int Stride = 0;
+  for (uint64_t L = 500; L > 490; --L)
+    Stride = P.observe(L);
+  EXPECT_EQ(Stride, -1);
 }
 
 TEST(PrefetcherTest, RandomAccessesDontPrefetch) {
-  StreamPrefetcher P(8, 4);
+  StreamPrefetcher P(8);
   SplitMix64 Rng(test::testSeed(30));
-  std::vector<uint64_t> T;
-  size_t Prefetches = 0;
-  for (int I = 0; I < 1000; ++I) {
-    T.clear();
-    P.observe(Rng.nextBelow(1 << 30), T);
-    Prefetches += T.size();
-  }
+  size_t Prefetching = 0;
+  for (int I = 0; I < 1000; ++I)
+    Prefetching += P.observe(Rng.nextBelow(1 << 30)) != 0;
   // A sparse random stream over 2^30 lines should almost never look like
   // a stride-1 stream.
-  EXPECT_LT(Prefetches, 50u);
+  EXPECT_LT(Prefetching, 12u);
 }
 
 TEST(PrefetcherTest, ToleratesSmallJitter) {
   // Two 32-byte objects per 64-byte line: access order can repeat or
   // skip a line; the stream should survive +2 jumps.
-  StreamPrefetcher P(8, 2);
-  std::vector<uint64_t> T;
+  StreamPrefetcher P(8);
   uint64_t Lines[] = {10, 11, 13, 14, 16, 17};
-  size_t Prefetches = 0;
-  for (uint64_t L : Lines) {
-    T.clear();
-    P.observe(L, T);
-    Prefetches += T.size();
-  }
-  EXPECT_GT(Prefetches, 0u);
+  size_t Prefetching = 0;
+  for (uint64_t L : Lines)
+    Prefetching += P.observe(L) != 0;
+  EXPECT_GT(Prefetching, 0u);
 }
 
 TEST(PrefetcherTest, TracksMultipleStreams) {
-  StreamPrefetcher P(8, 2);
-  std::vector<uint64_t> T;
-  size_t Prefetches = 0;
+  StreamPrefetcher P(8);
+  size_t Prefetching = 0;
   // Interleave two ascending streams far apart.
   for (int I = 0; I < 10; ++I) {
-    T.clear();
-    P.observe(1000 + I, T);
-    Prefetches += T.size();
-    T.clear();
-    P.observe(90000 + I, T);
-    Prefetches += T.size();
+    Prefetching += P.observe(1000 + I) != 0;
+    Prefetching += P.observe(90000 + I) != 0;
   }
-  EXPECT_GT(Prefetches, 20u);
+  EXPECT_GT(Prefetching, 10u);
 }
 
 TEST(PrefetcherTest, ResetForgetsStreams) {
-  StreamPrefetcher P(4, 2);
-  std::vector<uint64_t> T;
-  for (uint64_t L = 0; L < 6; ++L) {
-    T.clear();
-    P.observe(L, T);
-  }
-  EXPECT_FALSE(T.empty());
+  StreamPrefetcher P(4);
+  int Stride = 0;
+  for (uint64_t L = 0; L < 6; ++L)
+    Stride = P.observe(L);
+  EXPECT_EQ(Stride, 1);
   P.reset();
-  T.clear();
-  P.observe(6, T);
-  EXPECT_TRUE(T.empty()); // needs retraining
+  EXPECT_EQ(P.observe(6), 0); // needs retraining
+}
+
+TEST(PrefetcherTest, EvictsLeastRecentlyUsedStream) {
+  // Two slots. Stream A (line 100) is touched after stream B (line 500),
+  // so a third stream evicts B; A then keeps extending.
+  StreamPrefetcher P(2);
+  P.observe(500);
+  P.observe(100);
+  P.observe(9000); // evicts the stream at 500
+  EXPECT_EQ(P.observe(101), 0);
+  EXPECT_EQ(P.observe(102), 1); // A survived and locked
+  P.observe(20000); // evicts 9000, the LRU now
+  // Had 500's stream survived, 501 and 502 would lock it; a fresh stream
+  // needs a third access.
+  P.observe(501);
+  EXPECT_EQ(P.observe(502), 0);
 }

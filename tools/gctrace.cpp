@@ -18,6 +18,7 @@
 
 #include "observe/SnapshotLog.h"
 #include "observe/TraceJson.h"
+#include "support/ArgParse.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -106,7 +107,7 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--threads") == 0) {
       ShowThreads = true;
     } else if (std::strncmp(Argv[I], "--events=", 9) == 0) {
-      DumpEvents = std::atol(Argv[I] + 9);
+      DumpEvents = ArgParse::parseInt("events", Argv[I] + 9);
     } else if (std::strncmp(Argv[I], "--cycles=", 9) == 0) {
       // A..B (inclusive), or a single cycle number; same parser as
       // heapscope, so trailing garbage is rejected.

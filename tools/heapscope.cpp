@@ -24,6 +24,7 @@
 
 #include "observe/HeapSnapshot.h"
 #include "observe/SnapshotLog.h"
+#include "support/ArgParse.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -350,19 +351,19 @@ int main(int Argc, char **Argv) {
       Map = true;
     } else if (std::strncmp(Argv[I], "--map=", 6) == 0) {
       Map = true;
-      MapCycle = std::atol(Argv[I] + 6);
+      MapCycle = ArgParse::parseInt("map", Argv[I] + 6);
     } else if (std::strcmp(Argv[I], "--trends") == 0) {
       Trends = true;
     } else if (std::strcmp(Argv[I], "--sites") == 0) {
       Sites = true;
     } else if (std::strncmp(Argv[I], "--sites=", 8) == 0) {
       Sites = true;
-      SitesTop = std::atol(Argv[I] + 8);
+      SitesTop = ArgParse::parseInt("sites", Argv[I] + 8);
     } else if (std::strcmp(Argv[I], "--audit") == 0) {
       Audit = true;
     } else if (std::strncmp(Argv[I], "--audit=", 8) == 0) {
       Audit = true;
-      AuditCycle = std::atol(Argv[I] + 8);
+      AuditCycle = ArgParse::parseInt("audit", Argv[I] + 8);
     } else if (std::strcmp(Argv[I], "--replay") == 0) {
       Replay = true;
     } else if (std::strncmp(Argv[I], "--diff=", 7) == 0) {
