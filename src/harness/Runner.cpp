@@ -76,15 +76,17 @@ ExperimentResult hcsgc::runExperiment(const ExperimentSpec &Spec) {
       std::thread Sampler;
       bool Sampling = Id == 0 && Run == 0;
       if (Sampling) {
+        // At least one sample even when the body finishes before this
+        // thread is first scheduled.
         Sampler = std::thread([&] {
           Stopwatch SW;
-          while (!StopSampler.load(std::memory_order_relaxed)) {
+          do {
             Series.push_back(
                 {SW.elapsedMs() / 1000.0,
                  static_cast<double>(RT.usedBytes()) /
                      static_cast<double>(RT.maxHeapBytes())});
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          }
+          } while (!StopSampler.load(std::memory_order_relaxed));
         });
       }
 
