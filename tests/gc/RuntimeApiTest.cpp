@@ -132,11 +132,12 @@ TEST(RuntimeApiTest, MediumAndLargeObjects) {
     // Large: bigger than mediumObjectMax (128K).
     size_t LargePayload = Geo.mediumObjectMax() + 4096;
     M->allocateSized(Large, MCls, 0, LargePayload);
-    M->storeWord(Large, 20000, 7);
+    uint32_t LargeLastWord = static_cast<uint32_t>(LargePayload / 8 - 1);
+    M->storeWord(Large, LargeLastWord, 7);
     M->requestGcAndWait();
     M->requestGcAndWait();
     EXPECT_EQ(M->loadWord(Medium, 100), 42);
-    EXPECT_EQ(M->loadWord(Large, 20000), 7);
+    EXPECT_EQ(M->loadWord(Large, LargeLastWord), 7);
   }
   M.reset();
 }
