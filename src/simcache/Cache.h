@@ -23,6 +23,7 @@
 #define HCSGC_SIMCACHE_CACHE_H
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace hcsgc {
@@ -50,8 +51,7 @@ public:
     bool Hit = W < Assoc;
     if (!Hit)
       W = Assoc - 1;
-    for (; W > 0; --W)
-      Set[W] = Set[W - 1];
+    std::memmove(Set + 1, Set, W * sizeof(uint64_t));
     Set[0] = Line;
     return Hit;
   }
