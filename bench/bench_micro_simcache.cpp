@@ -136,10 +136,11 @@ BENCHMARK(BM_NoPrefetchSeq);
 // (INTERNALS §14). The ISSUE-9 acceptance number is the ratio
 // BM_ProbePerAccessDirect / BM_ProbeBatchBarrierOnly — the cost the
 // *barrier* pays per instrumented access before vs. after batching.
-// BM_ProbeBatchFull keeps us honest about conserved work: with the
-// flush's full simulation included, batching only removes the per-event
-// dispatch; the big win on the access path comes from deferring the
-// simulation to safepoint-side flushes (and, optionally, sampling).
+// BM_ProbeBatchFull keeps us honest about conserved work: the full
+// simulation still runs, on the batch's replay thread, so it is timed in
+// wall time — batching removes only the per-event dispatch, and the win
+// on the access path comes from moving the simulation off the recording
+// thread.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -150,9 +151,9 @@ inline uintptr_t nextProbeAddr(SplitMix64 &Rng) {
   return Rng.nextBelow(64 << 20);
 }
 
-/// Swallows flushed events without simulating them — isolates the
+/// Swallows replayed events without simulating them — isolates the
 /// barrier-side record cost, which is all the mutator pays at the access
-/// site (real flushes run at TLAB refills / safepoints, off this path).
+/// site (the simulation runs on the replay thread, off this path).
 class NullProbe : public MemoryProbe {
 public:
   void onLoad(uintptr_t, uint32_t) override {}
@@ -177,52 +178,59 @@ static void BM_ProbePerAccessDirect(benchmark::State &State) {
 BENCHMARK(BM_ProbePerAccessDirect);
 
 /// What the batched barrier pays per access at the access site: append
-/// to the ring + increment (flush cost excluded via NullProbe).
+/// to the slot + increment, plus the slot hand-off (simulation excluded
+/// via NullProbe).
 static void BM_ProbeBatchBarrierOnly(benchmark::State &State) {
-  ProbeBatch Batch;
   NullProbe Sink;
+  ProbeBatch Batch;
+  Batch.bind(Sink);
   SplitMix64 Rng(7);
   for (auto _ : State)
     if (Batch.record(nextProbeAddr(Rng), 8, /*IsStore=*/false))
-      Batch.flush(Sink);
+      Batch.publish();
   State.counters["events"] = static_cast<double>(Batch.EventsFlushed);
 }
 BENCHMARK(BM_ProbeBatchBarrierOnly);
 
-/// End-to-end batched cost with the full simulation inside the flush:
-/// same simulated work as the direct path, minus 255/256 of the
-/// dispatch.
+/// End-to-end batched cost with the full simulation on the replay
+/// thread: same simulated work as the direct path, minus 255/256 of the
+/// dispatch. The recording thread blocks once every slot is queued, so
+/// the wall time per event is the replay rate.
 static void BM_ProbeBatchFull(benchmark::State &State) {
   CacheHierarchy H;
   ProbeBatch Batch;
+  Batch.bind(H);
   SplitMix64 Rng(7);
   for (auto _ : State)
     if (Batch.record(nextProbeAddr(Rng), 8, /*IsStore=*/false))
-      Batch.flush(H);
-  Batch.flush(H);
+      Batch.publish();
+  Batch.drain();
   State.counters["events_simulated"] =
       static_cast<double>(H.counters().Loads);
 }
-BENCHMARK(BM_ProbeBatchFull);
+BENCHMARK(BM_ProbeBatchFull)->UseRealTime();
 
-/// Exactness check doubling as a bench: replaying one ring through
-/// onBatch must produce the same counters as per-access delivery (the
-/// determinism contract from ProbeBatch.h).
+/// Exactness check doubling as a bench: one slot through the replay
+/// thread, drained, must leave the same counters as per-access delivery
+/// (the determinism contract from ProbeBatch.h). ProbeReplayTest is the
+/// oracle that fails loudly; this re-checks it on every bench run.
 static void BM_ProbeBatchReplayExactness(benchmark::State &State) {
-  SplitMix64 Seq(7);
+  CacheHierarchy Direct, Batched;
+  ProbeBatch Batch;
+  Batch.bind(Batched);
+  SplitMix64 RngA(7), RngB(7);
   for (auto _ : State) {
-    State.PauseTiming();
-    CacheHierarchy Direct, Batched;
-    ProbeBatch Batch;
-    SplitMix64 RngA = Seq, RngB = Seq;
-    State.ResumeTiming();
     for (unsigned I = 0; I < ProbeBatch::Capacity; ++I)
       Direct.onLoad(nextProbeAddr(RngA), 8);
     for (unsigned I = 0; I < ProbeBatch::Capacity; ++I)
       if (Batch.record(nextProbeAddr(RngB), 8, false))
-        Batch.flush(Batched);
-    if (Direct.counters().Cycles != Batched.counters().Cycles ||
-        Direct.counters().L1Misses != Batched.counters().L1Misses)
+        Batch.publish();
+    Batch.drain();
+    const CacheCounters &A = Direct.counters(), &B = Batched.counters();
+    if (A.Loads != B.Loads || A.Stores != B.Stores ||
+        A.L1Misses != B.L1Misses || A.L2Misses != B.L2Misses ||
+        A.LlcMisses != B.LlcMisses ||
+        A.PrefetchesIssued != B.PrefetchesIssued || A.Cycles != B.Cycles)
       State.SkipWithError("batched replay diverged from per-access");
   }
 }

@@ -28,9 +28,10 @@
 ///
 /// Cost model: the fast path is one load + mask + compare (~4 ns,
 /// BM_BarrierFastPath). With probes on, the caller additionally records
-/// the access into a per-thread ProbeBatch ring (store + increment,
-/// ~0.4 ns) rather than simulating it inline — the fast-path cost
-/// budget and the batching/flush protocol are INTERNALS §14.
+/// the access into a per-thread ProbeBatch queue (store + increment,
+/// plus one hand-off per 256 events) and a replay thread simulates it —
+/// the fast-path cost budget and the batching/flush protocol are
+/// INTERNALS §14.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -29,10 +29,8 @@ GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
   const GcConfig &Cfg = Heap.config();
 
   CoordCtx.IsGcThread = true;
-  if (Cfg.EnableProbes) {
-    CoordProbe = std::make_unique<CacheHierarchy>(Cfg.Cache);
-    CoordCtx.Probe = CoordProbe.get();
-  }
+  if (Cfg.EnableProbes)
+    CoordCtx.bindProbes(Cfg.Cache);
   Heap.registerContext(&CoordCtx);
 
   MetricsRegistry &MR = Heap.metrics();
@@ -62,10 +60,8 @@ GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
   for (unsigned I = 0; I < NumWorkers; ++I) {
     auto Ctx = std::make_unique<ThreadContext>();
     Ctx->IsGcThread = true;
-    if (Cfg.EnableProbes) {
-      WorkerProbes.push_back(std::make_unique<CacheHierarchy>(Cfg.Cache));
-      Ctx->Probe = WorkerProbes.back().get();
-    }
+    if (Cfg.EnableProbes)
+      Ctx->bindProbes(Cfg.Cache);
     Heap.registerContext(Ctx.get());
     WorkerCtxs.push_back(std::move(Ctx));
   }
@@ -145,22 +141,24 @@ void GcDriver::shutdown() {
   for (std::thread &W : Workers)
     if (W.joinable())
       W.join();
+  // Every GC thread is gone: wait for the replay threads so the
+  // simulated counters are final.
+  (void)CoordCtx.drainProbes();
+  for (auto &Ctx : WorkerCtxs)
+    (void)Ctx->drainProbes();
   Heap.unregisterContext(&CoordCtx);
   for (auto &Ctx : WorkerCtxs)
     Heap.unregisterContext(Ctx.get());
 }
 
 CacheCounters GcDriver::gcThreadCounters() const {
-  // Workers drained their batches at task end (workerLoop); the
-  // coordinator's ring can still hold events from root scans and EC
-  // selection, so drain it here. Callers hold the documented contract —
-  // driver idle or shut down — which makes the const_cast safe.
-  const_cast<GcDriver *>(this)->CoordCtx.flushProbes();
-  CacheCounters Sum;
-  if (CoordProbe)
-    Sum += CoordProbe->counters();
-  for (const auto &P : WorkerProbes)
-    Sum += P->counters();
+  // A reader drain of every GC context. Callers hold the documented
+  // contract — driver idle or shut down, so no GC thread is recording —
+  // which makes touching the producer side (and the const_cast) safe.
+  auto &Self = const_cast<GcDriver &>(*this);
+  CacheCounters Sum = Self.CoordCtx.drainProbes();
+  for (auto &Ctx : Self.WorkerCtxs)
+    Sum += Ctx->drainProbes();
   return Sum;
 }
 
@@ -197,10 +195,6 @@ void GcDriver::workerLoop(unsigned Id) {
       markTask(Ctx);
     else if (T == Task::Relocate)
       relocateTask(Ctx);
-    // Worker-side drain of the probe-event batch: by the time the
-    // coordinator sees RunningWorkers == 0 every worker ring is empty,
-    // so gcThreadCounters never reads a worker mid-batch.
-    Ctx.flushProbes();
     {
       std::lock_guard<std::mutex> G(TaskLock);
       if (--RunningWorkers == 0)
@@ -590,10 +584,6 @@ void GcDriver::runCycle(bool Emergency) {
   // kernel once per page.
   if (Cfg.Temperature && Cfg.ColdPage)
     coldReclaimPass(Rec.Cycle);
-
-  // End-of-cycle probe drain: the coordinator's ring holds the root-scan
-  // and EC-selection accesses of this cycle.
-  CoordCtx.flushProbes();
 
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::CycleEnd, ThisCycle);

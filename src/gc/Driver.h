@@ -84,8 +84,9 @@ public:
   void shutdown();
 
   /// Aggregated cache counters of all GC threads (coordinator+workers);
-  /// meaningful when probes are enabled. Safe to call when the driver is
-  /// idle or shut down.
+  /// meaningful when probes are enabled. Waits for their replay threads
+  /// to catch up first. Safe to call when the driver is idle or shut
+  /// down.
   CacheCounters gcThreadCounters() const;
 
 private:
@@ -132,9 +133,7 @@ private:
   std::thread Coordinator;
   std::vector<std::thread> Workers;
   std::vector<std::unique_ptr<ThreadContext>> WorkerCtxs;
-  std::vector<std::unique_ptr<CacheHierarchy>> WorkerProbes;
   ThreadContext CoordCtx;
-  std::unique_ptr<CacheHierarchy> CoordProbe;
 
   // Request/completion state.
   mutable std::mutex CycleLock;

@@ -11,7 +11,7 @@
 /// the cycle counter, the shared mark queue, and per-cycle accounting.
 /// ThreadContext carries the per-thread pieces: the local mark stack, the
 /// relocation destination pages (hot page, cold page, medium page) and
-/// the optional cache-simulator probe.
+/// the optional cache simulator with its probe queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +27,7 @@
 #include "observe/HeapSnapshot.h"
 #include "observe/Metrics.h"
 #include "observe/TraceBuffer.h"
-#include "simcache/Probe.h"
+#include "simcache/Hierarchy.h"
 #include "simcache/ProbeBatch.h"
 
 #include <atomic>
@@ -42,7 +42,6 @@ namespace hcsgc {
 /// can reset relocation targets and flush mark buffers.
 struct ThreadContext {
   class GcHeap *Heap = nullptr;
-  MemoryProbe *Probe = nullptr;
   /// Lazily bound per-thread trace ring; owned by the heap's
   /// TraceSession. Stays nullptr until this thread records its first
   /// event with tracing enabled.
@@ -105,32 +104,36 @@ struct ThreadContext {
   /// plus the persistent pretenure TLAB, which is retired to the heap.
   void releaseAllocTargets();
 
-  // Batched probe recording (INTERNALS §14): the instrumented fast path
-  // is a bounds-checked store into the ring plus an increment; the
-  // virtual dispatch into the simulator happens once per full ring or
-  // at an explicit flush point. With probes off each call is still a
-  // single predictable null test, exactly as before.
+  // Batched probe recording (INTERNALS §14.1): the instrumented fast
+  // path is a bounds-checked store into the current slot plus an
+  // increment; a full slot goes to the replay thread, which simulates
+  // it off this thread's critical path. With probes off each call is
+  // still a single predictable null test.
   void probeLoad(uintptr_t Addr, uint32_t Bytes) {
-    if (Probe && Batch.record(Addr, Bytes, /*IsStore=*/false))
-      flushProbes();
+    if (Sim && Batch.record(Addr, Bytes, /*IsStore=*/false))
+      publishProbes();
   }
   void probeStore(uintptr_t Addr, uint32_t Bytes) {
-    if (Probe && Batch.record(Addr, Bytes, /*IsStore=*/true))
-      flushProbes();
+    if (Sim && Batch.record(Addr, Bytes, /*IsStore=*/true))
+      publishProbes();
   }
   void probeCompute(uint64_t Cycles) {
-    if (Probe)
-      Batch.PendingCompute += Cycles;
+    if (Sim)
+      Batch.addCompute(Cycles);
   }
 
-  /// Drains the batch into the probe and publishes the batching stats to
-  /// the simcache.batch_* counters. Called when the ring fills and at
-  /// every quiescent point where counters may be read: safepoint park,
-  /// TLAB refill, GC task end, counter aggregation, thread detach.
-  void flushProbes() {
-    if (!Probe)
-      return;
-    Batch.flush(*Probe);
+  /// Creates this thread's cache simulator and binds the probe queue to
+  /// it (probes on). Call once, before the thread records anything.
+  void bindProbes(const CacheConfig &Cfg) {
+    Sim = std::make_unique<CacheHierarchy>(Cfg);
+    Batch.bind(*Sim);
+  }
+
+  /// Hands the current slot to the replay thread and publishes the
+  /// batching stats to the simcache.batch_* counters. Called when a slot
+  /// fills.
+  void publishProbes() {
+    Batch.publish();
     if (BatchFlushesCtr && Batch.Flushes != ReportedFlushes) {
       BatchFlushesCtr->add(Batch.Flushes - ReportedFlushes);
       ReportedFlushes = Batch.Flushes;
@@ -141,7 +144,22 @@ struct ThreadContext {
     }
   }
 
-  /// Per-thread probe event ring (see simcache/ProbeBatch.h).
+  /// The reader drain: publishes the partial slot, waits until the
+  /// replay thread has simulated every recorded event, and \returns the
+  /// simulator's counters (zero with probes off). Call from the owning
+  /// thread, or while it is parked, idle or detached.
+  CacheCounters drainProbes() {
+    if (!Sim)
+      return CacheCounters();
+    publishProbes();
+    Batch.drain();
+    return Sim->counters();
+  }
+
+  /// This thread's cache simulator, or null with probes off. Declared
+  /// before Batch so Batch's replay thread is joined before it dies.
+  std::unique_ptr<CacheHierarchy> Sim;
+  /// Per-thread probe event queue (see simcache/ProbeBatch.h).
   ProbeBatch Batch;
   /// simcache.batch_* counter mirrors, bound by GcHeap::registerContext.
   Counter *BatchFlushesCtr = nullptr;

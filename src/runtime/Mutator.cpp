@@ -32,10 +32,8 @@ Root::~Root() {
 
 Mutator::Mutator(Runtime &RT) : RT(RT), Heap(RT.heap()) {
   const GcConfig &Cfg = Heap.config();
-  if (Cfg.EnableProbes) {
-    Probe = std::make_unique<CacheHierarchy>(Cfg.Cache);
-    Ctx.Probe = Probe.get();
-  }
+  if (Cfg.EnableProbes)
+    Ctx.bindProbes(Cfg.Cache);
   TlabRefills = &Heap.metrics().counter("alloc.tlab.refills");
   PretenureRefills =
       &Heap.metrics().counter("alloc.tlab.pretenure_refills");
@@ -54,10 +52,8 @@ Mutator::~Mutator() {
   // unpin cannot race STW1's resetAllocTargets. Detach also surrenders
   // the persistent pretenure TLAB that STW1 leaves in place.
   Ctx.releaseAllocTargets();
-  // Publish any marking work this thread still buffers, and drain the
-  // probe-event batch so the counters merged below are complete.
+  // Publish any marking work this thread still buffers.
   flushMarkBuffer(Heap, Ctx);
-  Ctx.flushProbes();
   RT.SP.unregisterMutator();
   Heap.unregisterContext(&Ctx);
   {
@@ -66,26 +62,26 @@ Mutator::~Mutator() {
         std::remove(RT.Mutators.begin(), RT.Mutators.end(), this),
         RT.Mutators.end());
   }
-  if (Probe) {
+  // Detach is a reader drain: once unregistered no pause waits on this
+  // thread, so it waits here for the replay thread to finish its queue
+  // and merges complete counters.
+  if (Ctx.Sim) {
+    CacheCounters C = Ctx.drainProbes();
     std::lock_guard<std::mutex> G(RT.CounterLock);
-    RT.DetachedMutatorCounters += Probe->counters();
+    RT.DetachedMutatorCounters += C;
   }
 }
 
 void Mutator::poll() {
   if (HCSGC_UNLIKELY(RT.SP.pollNeeded())) {
-    // Parking is a flush point for both deferred planes: buffered mark
-    // work must be published for STW termination, and the probe-event
-    // batch must drain so any mid-pause counter aggregation is exact.
+    // Buffered mark work must be published for STW termination.
     flushMarkBuffer(Heap, Ctx);
-    Ctx.flushProbes();
     RT.SP.park();
   }
 }
 
 void Mutator::requestGcAndWait() {
   flushMarkBuffer(Heap, Ctx);
-  Ctx.flushProbes();
   BlockedScope B(RT.SP);
   RT.Driver->requestCycleAndWait();
 }
@@ -142,10 +138,6 @@ uintptr_t Mutator::allocMid(size_t Bytes) {
     Ctx.AllocPage = P;
     if (TlabRefills)
       TlabRefills->increment();
-    // TLAB refill is the batching protocol's slow-path flush point: the
-    // refill already left the fast path, so drain the probe ring here
-    // rather than on the allocation fast path.
-    Ctx.flushProbes();
     uintptr_t Addr = P->allocate(Bytes);
     Heap.noteAllocation(P->size());
     maybeTriggerGc();
@@ -250,7 +242,6 @@ uintptr_t Mutator::allocRaw(size_t Bytes, StallInfo &SI, SiteId Site) {
                 TraceEventKind::AllocStall, Heap.currentCycle(), Bytes,
                 Attempt, WaitCycles);
     flushMarkBuffer(Heap, Ctx);
-    Ctx.flushProbes();
     {
       Stopwatch StallSw;
       BlockedScope B(RT.SP);

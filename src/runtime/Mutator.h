@@ -198,14 +198,12 @@ public:
   /// Adds \p N simulated compute cycles to this thread's time model.
   void simulateWork(uint64_t N) { Ctx.probeCompute(N); }
 
-  /// This thread's cache counters (zero if probes are disabled). Drains
-  /// the probe-event batch first so the numbers include every recorded
-  /// access; call from this thread, or only while it is quiescent.
+  /// This thread's cache counters (zero if probes are disabled). Waits
+  /// for the replay thread to simulate every recorded access first; call
+  /// from this thread, or only while it is quiescent (the drain touches
+  /// the producer side of the probe queue, hence the const_cast).
   CacheCounters counters() const {
-    if (!Probe)
-      return CacheCounters();
-    const_cast<Mutator *>(this)->Ctx.flushProbes();
-    return Probe->counters();
+    return const_cast<Mutator *>(this)->Ctx.drainProbes();
   }
 
   Runtime &runtime() { return RT; }
@@ -252,7 +250,6 @@ private:
   Runtime &RT;
   GcHeap &Heap;
   ThreadContext Ctx;
-  std::unique_ptr<CacheHierarchy> Probe;
   Root *RootHead = nullptr;
   /// Mirror of alloc.tlab.refills, cached at attach time (registry
   /// lookup takes a lock; updates do not).

@@ -7,9 +7,11 @@
 ///
 /// \file
 /// A three-level (L1d/L2/LLC) cache hierarchy with a stream prefetcher and
-/// a simple cycle model. One instance per thread (no locking); the harness
-/// aggregates counters across threads, mirroring how the paper's `perf`
-/// counters cover the whole process. Default geometry matches the paper's
+/// a simple cycle model. One instance per measured thread, owned by its
+/// ThreadContext and fed by that thread's replay thread only — one FIFO
+/// stream, so no locking; readers see it after a drain (ProbeBatch.h).
+/// The harness aggregates counters across threads, mirroring how the
+/// paper's `perf` counters cover the whole process. Default geometry matches the paper's
 /// Intel i7-4600U evaluation machine: 32 KiB L1, 256 KiB L2, 4 MiB L3,
 /// 64-byte lines.
 ///
@@ -72,7 +74,7 @@ public:
   void onLoad(uintptr_t Addr, uint32_t Bytes) override;
   void onStore(uintptr_t Addr, uint32_t Bytes) override;
   void onCompute(uint64_t N) override { Counters.Cycles += N; }
-  /// Batched replay: one virtual dispatch per ProbeBatch flush, then a
+  /// Batched replay: one virtual dispatch per ProbeBatch slot, then a
   /// direct (non-virtual) simulation loop. Event order is preserved, so
   /// counters match the per-access path exactly.
   void onBatch(const ProbeEvent *Events, size_t N) override;

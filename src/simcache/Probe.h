@@ -13,9 +13,10 @@
 /// simulator that consumes this stream (see DESIGN.md §2).
 ///
 /// The runtime no longer dispatches one virtual call per access: events
-/// are recorded into a per-thread ProbeBatch ring (see ProbeBatch.h) and
-/// replayed through onBatch at flush points, amortizing the dispatch to
-/// one call per 256 accesses (INTERNALS §14).
+/// are recorded into a per-thread ProbeBatch queue (see ProbeBatch.h) and
+/// replayed through onBatch, one call per 256 accesses, on that queue's
+/// replay thread (INTERNALS §14). A probe bound to a queue is therefore
+/// called from the replay thread, never concurrently with itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,9 @@
 
 namespace hcsgc {
 
-/// One recorded heap access, queued in a per-thread ProbeBatch ring and
-/// replayed in FIFO order at flush time. 16 bytes so a 256-entry ring
-/// spans one small page's worth of L1 (4 KiB).
+/// One recorded heap access, queued in a per-thread ProbeBatch slot and
+/// replayed in FIFO order. 16 bytes so a 256-entry slot spans one small
+/// page's worth of L1 (4 KiB).
 struct ProbeEvent {
   uintptr_t Addr;
   uint32_t Bytes;

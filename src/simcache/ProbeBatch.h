@@ -1,4 +1,4 @@
-//===- simcache/ProbeBatch.h - Batched probe event ring --------*- C++ -*-===//
+//===- simcache/ProbeBatch.h - Pipelined probe event queue -----*- C++ -*-===//
 //
 // Part of the HCSGC reproduction of "Improving Program Locality in the GC
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
@@ -6,17 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A per-thread ring of recorded heap accesses that turns the instrumented
-/// barrier fast path into a store + increment. The old path paid a virtual
-/// dispatch into the cache simulator on EVERY probed access; now the access
-/// is appended here and the simulator sees one onBatch call per full ring
-/// (or per flush point: TLAB refill, safepoint park, counter read, thread
-/// detach — see INTERNALS §14 for the flush protocol).
+/// A per-thread queue of recorded heap accesses that turns the instrumented
+/// barrier fast path into a store + increment and takes the cache
+/// simulation off the recording thread. The owning thread (the producer)
+/// appends events to the current 256-event slot; a full slot is published
+/// to a companion replay thread (the consumer), which replays it into the
+/// bound MemoryProbe while the owner keeps running. See INTERNALS §14.1 for
+/// the flush protocol and §14.4 for the replay thread.
 ///
-/// Determinism: events replay in FIFO order, so the simulated cache state
-/// and every counter are bit-identical to the per-access path — modeled
-/// compute cycles are an order-independent sum and are drained separately
-/// through onCompute.
+/// Determinism: there is exactly one producer and one consumer, and slots
+/// are consumed in publication order, so the probe sees the same FIFO
+/// event stream as per-access delivery and every counter is bit-identical.
+/// Modeled compute cycles are an order-independent sum; each slot carries
+/// the sum accumulated since the previous slot.
+///
+/// Threading: record(), addCompute(), publish() and drain() are the
+/// producer side. Only the owning thread calls them, or another thread
+/// while the owner is provably quiescent (parked, idle or detached) with a
+/// happens-before edge from its last record. The probe's own state may be
+/// read once drain() returns, under the same rule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,53 +35,75 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace hcsgc {
 
-/// Fixed-capacity event ring plus the compute-cycle accumulator. Owned by
-/// ThreadContext (single-threaded access; flushes happen on the owning
-/// thread or while it is provably quiescent).
-struct ProbeBatch {
-  /// Ring capacity. 256 events of 16 bytes = 4 KiB: large enough to
-  /// amortize the virtual dispatch to < 0.5% of accesses, small enough
-  /// to stay L1-resident next to the mutator's working set.
+class ProbeBatch {
+public:
+  /// Events per slot. 256 events of 16 bytes = 4 KiB: large enough to
+  /// amortize the virtual dispatch and the hand-off to one per 256
+  /// accesses, small enough to stay L1-resident next to the mutator's
+  /// working set.
   static constexpr uint32_t Capacity = 256;
+  /// Slots in the queue (32 KiB of events). When all are full the
+  /// producer blocks, which bounds both memory and replay lag.
+  static constexpr uint32_t Slots = 8;
 
-  ProbeEvent Events[Capacity];
-  uint32_t Count = 0;
-  /// Modeled compute cycles accumulated since the last flush. A plain
-  /// sum — order against memory events does not affect any counter — so
-  /// it needs no ring slots and never forces a flush by itself.
-  uint64_t PendingCompute = 0;
+  ProbeBatch();
+  /// Stops and joins the replay thread. Slots already published are
+  /// replayed first (the bound probe must still be alive); events in the
+  /// unpublished partial slot are dropped.
+  ~ProbeBatch();
+  ProbeBatch(const ProbeBatch &) = delete;
+  ProbeBatch &operator=(const ProbeBatch &) = delete;
 
-  // Lifetime totals, drained into simcache.batch_* metrics by the
-  // owning ThreadContext (ProbeBatch itself stays observe-free).
-  uint64_t Flushes = 0;
-  uint64_t EventsFlushed = 0;
+  /// Allocates the slots and makes \p P the consumer's target. Call once,
+  /// before recording. \p P must outlive this batch.
+  void bind(MemoryProbe &P);
 
-  bool empty() const { return Count == 0 && PendingCompute == 0; }
-
-  /// Appends one access. \returns true when the ring just filled and the
-  /// caller must flush before recording more.
+  /// Appends one access. \returns true when the slot just filled and the
+  /// caller must publish() before recording more. Requires bind().
   bool record(uintptr_t Addr, uint32_t Bytes, bool IsStore) {
-    Events[Count] = {Addr, Bytes, IsStore ? 1u : 0u};
+    Cur[Count] = {Addr, Bytes, IsStore ? 1u : 0u};
     return ++Count == Capacity;
   }
 
-  /// Drains the pending compute sum and replays the recorded events into
-  /// \p P in FIFO order, then empties the ring.
-  void flush(MemoryProbe &P) {
-    if (PendingCompute != 0) {
-      P.onCompute(PendingCompute);
-      PendingCompute = 0;
-    }
-    if (Count != 0) {
-      P.onBatch(Events, Count);
-      EventsFlushed += Count;
-      ++Flushes;
-      Count = 0;
-    }
-  }
+  /// Adds modeled compute cycles. A plain sum — order against memory
+  /// events does not affect any counter — so it takes no event space and
+  /// never forces a publish by itself.
+  void addCompute(uint64_t N) { PendingCompute += N; }
+
+  /// Hands the current slot (events plus compute sum) to the replay
+  /// thread, starting that thread on first use so it inherits the
+  /// caller's CPU affinity. Blocks while every slot is still queued.
+  /// No-op when nothing is pending.
+  void publish();
+
+  /// publish(), then waits until the replay thread has consumed every
+  /// published slot: afterwards the probe has seen every recorded event.
+  void drain();
+
+  // Lifetime totals of published work, drained into simcache.batch_*
+  // metrics by the owning ThreadContext (ProbeBatch itself stays
+  // observe-free).
+  uint64_t Flushes = 0;       ///< Slots published that carried events.
+  uint64_t EventsFlushed = 0; ///< Events published.
+
+private:
+  struct Queue;
+
+  /// Blocks until the replay thread has consumed \p Target slots.
+  void waitConsumed(uint32_t Target);
+
+  // Producer-side state, touched only by the owning thread (or a
+  // quiescent-owner reader); the shared words live in Queue.
+  ProbeEvent *Cur = nullptr; ///< Event array of the slot being filled.
+  uint32_t Count = 0;
+  uint64_t PendingCompute = 0;
+  uint32_t Head = 0; ///< Slots published so far (wraps).
+  uint32_t Tail = 0; ///< Slots known consumed: a cached Queue::Consumed.
+  std::unique_ptr<Queue> Q;
 };
 
 } // namespace hcsgc

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 using namespace hcsgc;
 
 namespace {
@@ -233,4 +235,78 @@ TEST(RuntimeApiTest, CountersTrackWithProbes) {
   EXPECT_GT(M->counters().Stores, 0u);
   M.reset();
   EXPECT_GT(RT.mutatorCounters().Loads, 100u);
+}
+
+namespace {
+
+/// A heap far larger than anything these tests allocate, so no cycle
+/// runs and only the reader drains can publish probe events.
+GcConfig bigProbedConfig() {
+  GcConfig Cfg = testConfig();
+  Cfg.MaxHeapBytes = 256u << 20;
+  Cfg.EnableProbes = true;
+  return Cfg;
+}
+
+size_t threadCount() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &E :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+} // namespace
+
+TEST(RuntimeApiTest, CountersDrainOnReadWithoutFlush) {
+  Runtime RT(bigProbedConfig());
+  ClassId Cls = RT.registerClass("t.W", 0, 16);
+  auto M = RT.attachMutator();
+  {
+    Root R(*M);
+    M->allocate(R, Cls);
+    // 2K events: several full slots plus a partial one that only the
+    // read publishes. Each loadWord probes the header and the word.
+    constexpr uint64_t K = 1000;
+    for (uint64_t I = 0; I < K; ++I)
+      (void)M->loadWord(R, I % 2);
+    EXPECT_EQ(M->counters().Loads, 2 * K);
+  }
+  EXPECT_EQ(RT.driver().completedCycles(), 0u);
+  M.reset();
+}
+
+TEST(RuntimeApiTest, DetachCarriesPendingEvents) {
+  Runtime RT(bigProbedConfig());
+  ClassId Cls = RT.registerClass("t.W", 0, 16);
+  auto M = RT.attachMutator();
+  constexpr uint64_t K = 300; // one full slot plus a partial one
+  {
+    Root R(*M);
+    M->allocate(R, Cls);
+    for (uint64_t I = 0; I < K; ++I)
+      (void)M->loadWord(R, 0);
+  }
+  M.reset();
+  EXPECT_EQ(RT.mutatorCounters().Loads, 2 * K);
+}
+
+TEST(RuntimeApiTest, ProbesOffStartsNoReplayThread) {
+  Runtime RT(testConfig());
+  ClassId Cls = RT.registerClass("t.W", 1, 16);
+  size_t Before = threadCount();
+  auto M = RT.attachMutator();
+  {
+    Root R(*M), Tmp(*M);
+    M->allocate(R, Cls);
+    for (int I = 0; I < 1000; ++I) {
+      M->allocate(Tmp, Cls);
+      M->storeRef(R, 0, Tmp);
+      (void)M->loadWord(Tmp, 0);
+    }
+    M->requestGcAndWait();
+  }
+  EXPECT_EQ(M->counters().Loads, 0u);
+  EXPECT_EQ(threadCount(), Before);
+  M.reset();
 }

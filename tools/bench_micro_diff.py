@@ -9,8 +9,11 @@ runs
     tools/bench_micro_diff.py --current BENCH_micro_gc.json \
         --baseline bench/baselines/BENCH_micro_gc.json
 
-and fails when any benchmark both reports run gets slower (cpu_time)
-by more than the tolerance. Micro timings are noisy, so the default
+and fails when any benchmark both reports run gets slower by more than
+the tolerance. A benchmark registered with ->UseRealTime() (its name
+ends in /real_time) does its work on other threads — a GC cycle, the
+probe replay thread — so it is compared on real_time; every other one
+on cpu_time. Micro timings are noisy, so the default
 tolerance is deliberately loose (50%): the gate exists to catch
 order-of-magnitude mistakes — a virtual dispatch reappearing on the
 probe fast path, a word walk degrading to per-bit — not single-digit
@@ -32,7 +35,10 @@ import sys
 
 
 def load_report(path):
-    """Returns ({name: cpu_time_ns}, num_cpus) from a gbench JSON."""
+    """Returns ({name: time_ns}, num_cpus) from a gbench JSON.
+
+    The time is real_time for /real_time benchmarks, else cpu_time.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -46,9 +52,10 @@ def load_report(path):
         # Normalize to nanoseconds so ms-unit benchmarks compare too.
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
-        if scale is None or "cpu_time" not in b:
+        key = "real_time" if b["name"].endswith("/real_time") else "cpu_time"
+        if scale is None or key not in b:
             continue
-        times[b["name"]] = float(b["cpu_time"]) * scale
+        times[b["name"]] = float(b[key]) * scale
     if not times:
         sys.stderr.write(f"bench_micro_diff: {path} has no benchmarks\n")
         sys.exit(2)
