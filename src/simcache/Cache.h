@@ -12,7 +12,8 @@
 ///
 /// Each set stores its resident line numbers in recency order, most
 /// recently used first, 8 bytes per way; empty ways hold EmptyLine and
-/// stay at the tail. A hit at way k shifts ways 0..k-1 down by one and
+/// stay at the tail. A hit at way 0 returns at once, since the set is
+/// already in order. A hit at way k > 0 shifts ways 0..k-1 down by one and
 /// puts the line at way 0; a miss shifts the whole set down (dropping the
 /// LRU line, or an empty way) and inserts at way 0. Ways hold full line
 /// numbers, so a lookup needs no tag (INTERNALS §14.4).
@@ -45,6 +46,8 @@ public:
   /// \returns true on hit.
   bool access(uint64_t Line) {
     uint64_t *Set = setFor(Line);
+    if (Set[0] == Line)
+      return true; // MRU hit: the set is already in order
     uint32_t W = 0;
     while (W < Assoc && Set[W] != Line)
       ++W;

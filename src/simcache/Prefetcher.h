@@ -16,9 +16,10 @@
 /// whose last line lies within +/-2 lines of it (and, once the stream has
 /// a direction, on the same side). An access that extends no stream
 /// starts a new one in the least recently used slot. Two side structures
-/// make both lookups cheap: a 64-bucket index from `LastLine & 63` to a
-/// bitmask of streams, and a doubly linked recency list whose tail is the
-/// victim (INTERNALS §14.4).
+/// make both lookups cheap: a 1024-bucket index from `LastLine & 1023` to
+/// a bitmask of streams, and a doubly linked recency list whose tail is the
+/// victim (INTERNALS §14.4). The index only proposes candidates; each one
+/// is still checked against the exact rule, so its size moves no result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +92,7 @@ public:
   void reset();
 
 private:
-  static constexpr uint32_t BucketMask = 63;
+  static constexpr uint32_t BucketMask = 1023;
   static constexpr uint8_t Nil = 0xff;
 
   struct Stream {

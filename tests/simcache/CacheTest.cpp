@@ -95,3 +95,39 @@ TEST(CacheTest, LargeTagsDisambiguated) {
   EXPECT_TRUE(C.contains(A));
   EXPECT_TRUE(C.contains(B));
 }
+
+TEST(CacheTest, MruHitLeavesSetUnchanged) {
+  // 4-way set in order 4, 3, 2, 1 (1 is LRU). Repeated hits on the MRU
+  // line keep that order, so new lines evict 1, 2, 3 and 4 in turn.
+  SetAssocCache C(1, 4);
+  for (uint64_t L = 1; L <= 4; ++L)
+    EXPECT_FALSE(C.access(L));
+  EXPECT_TRUE(C.access(4));
+  EXPECT_TRUE(C.access(4));
+  for (uint64_t L = 5; L <= 8; ++L) {
+    EXPECT_FALSE(C.access(L));
+    EXPECT_FALSE(C.contains(L - 4)) << "line " << L;
+    for (uint64_t K = L - 3; K <= L; ++K)
+      EXPECT_TRUE(C.contains(K)) << "line " << K << " after " << L;
+  }
+
+  // A partly filled set: MRU hits keep the empty ways at the tail, so
+  // three more lines still fit without an eviction.
+  SetAssocCache P(1, 4);
+  EXPECT_FALSE(P.access(7));
+  EXPECT_TRUE(P.access(7));
+  for (uint64_t L = 8; L <= 10; ++L)
+    EXPECT_FALSE(P.access(L));
+  for (uint64_t L = 7; L <= 10; ++L)
+    EXPECT_TRUE(P.contains(L));
+
+  // Direct-mapped: the one way is always way 0.
+  SetAssocCache D(16, 1);
+  EXPECT_FALSE(D.access(3));
+  EXPECT_TRUE(D.access(3));
+  EXPECT_TRUE(D.access(3));
+  EXPECT_FALSE(D.access(19)); // same set: evicts 3
+  EXPECT_FALSE(D.contains(3));
+  EXPECT_TRUE(D.access(19));
+  EXPECT_FALSE(D.access(3));
+}

@@ -91,3 +91,20 @@ TEST(PrefetcherTest, EvictsLeastRecentlyUsedStream) {
   P.observe(501);
   EXPECT_EQ(P.observe(502), 0);
 }
+
+TEST(PrefetcherTest, BucketAliasIsNotAStream) {
+  // X + 2^20 + 1 shares X + 1's bucket under any power-of-two bucket
+  // count up to 2^20, so the stream at X is a candidate for it; the
+  // exact +/-2 test must reject it and train a new stream instead.
+  StreamPrefetcher P(8);
+  constexpr uint64_t X = 4096, Alias = X + (uint64_t(1) << 20) + 1;
+  EXPECT_EQ(P.observe(X), 0);
+  EXPECT_EQ(P.observe(Alias), 0);
+  // Had the alias extended X's stream, X + 1 would train a fresh one
+  // and X + 2 could not lock yet.
+  EXPECT_EQ(P.observe(X + 1), 0);
+  EXPECT_EQ(P.observe(X + 2), 1);
+  // The alias started its own stream, which locks on its own.
+  EXPECT_EQ(P.observe(Alias + 1), 0);
+  EXPECT_EQ(P.observe(Alias + 2), 1);
+}

@@ -316,7 +316,8 @@ enum class StreamKind {
   Jittered,
   LineCrossing,
   StoreHeavy,
-  Mixed
+  Mixed,
+  BucketAliased
 };
 
 /// Seeded access-stream generator. Addresses sit in a 64 MiB window well
@@ -353,6 +354,17 @@ public:
                    16, Rng.nextBelow(10) < 7);
     case StreamKind::Mixed:
       return mixed();
+    case StreamKind::BucketAliased: {
+      // Four walks 2^20 lines apart share one jittered offset, so their
+      // streams share the prefetcher's buckets under any power-of-two
+      // bucket count up to 2^20: nearly every observe meets the other
+      // walks' streams as false candidates, and the +/-2 jitter brings
+      // neighbours on the wrong side of the walk's own stream.
+      uint64_t Walk = Rng.nextBelow(4);
+      uint64_t Line = (Walk << 20) + N / 4 + Rng.nextBelow(5) - 2 + 16;
+      uint64_t Off = Rng.nextBelow(64 - 8);
+      return event(Line * 64 + Off, 8, Rng.nextBelow(4) == 0);
+    }
     }
     return load(0, 8);
   }
@@ -367,8 +379,7 @@ private:
 
   /// Interleaved forward, backward and jittered streams, repeats of the
   /// last line, and random accesses — both spread out and dense (the
-  /// dense ones alias in the prefetcher's bucket index and often match
-  /// several streams at once).
+  /// dense ones often lie within two lines of several streams at once).
   ProbeEvent mixed() {
     uint64_t Pick = Rng.nextBelow(16);
     uint64_t Line;
@@ -479,7 +490,8 @@ TEST_P(SimcacheReferenceTest, CountersMatchReferenceModel) {
 std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
   static const char *Kinds[] = {"Random",       "Sequential", "Backward",
                                 "Jittered",     "LineCrossing",
-                                "StoreHeavy",   "Mixed"};
+                                "StoreHeavy",   "Mixed",
+                                "BucketAliased"};
   static const char *Geos[] = {"Default", "GraphCc", "PrefetchOff",
                                "SmallStreams"};
   return std::string(Kinds[static_cast<int>(std::get<0>(Info.param))]) +
@@ -492,7 +504,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(StreamKind::Random, StreamKind::Sequential,
                           StreamKind::Backward, StreamKind::Jittered,
                           StreamKind::LineCrossing, StreamKind::StoreHeavy,
-                          StreamKind::Mixed),
+                          StreamKind::Mixed, StreamKind::BucketAliased),
         ::testing::Values(Geometry::Default, Geometry::GraphCc,
                           Geometry::PrefetchOff, Geometry::SmallStreams)),
     paramName);

@@ -19,14 +19,19 @@ order-of-magnitude mistakes — a virtual dispatch reappearing on the
 probe fast path, a word walk degrading to per-bit — not single-digit
 drift.
 
+A row of the current report with error_occurred set (a benchmark that
+called SkipWithError, such as BM_ProbeBatchReplayExactness on a counter
+divergence) fails the run with its error_message, whatever the machine:
+its time is meaningless and the error is the result.
+
 Same comparability rule as bench_diff.py: a baseline captured on a
 different CPU count (google-benchmark's context.num_cpus) is refused —
 every shared benchmark is warned about and skipped, exit 0 unless
 --strict. Benchmarks present on only one side are reported but never
 fail the run (suites grow).
 
-Exit codes: 0 ok, 1 regression (or refused comparison under --strict),
-2 usage/IO error.
+Exit codes: 0 ok, 1 regression or error row (or refused comparison
+under --strict), 2 usage/IO error.
 """
 
 import argparse
@@ -35,9 +40,11 @@ import sys
 
 
 def load_report(path):
-    """Returns ({name: time_ns}, num_cpus) from a gbench JSON.
+    """Returns ({name: time_ns}, {name: error_message}, num_cpus) from a
+    gbench JSON.
 
     The time is real_time for /real_time benchmarks, else cpu_time.
+    Rows with error_occurred set go into the error map, not the times.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -45,9 +52,12 @@ def load_report(path):
     except (OSError, ValueError) as e:
         sys.stderr.write(f"bench_micro_diff: cannot read {path}: {e}\n")
         sys.exit(2)
-    times = {}
+    times, errors = {}, {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
+            continue
+        if b.get("error_occurred"):
+            errors[b["name"]] = b.get("error_message", "")
             continue
         # Normalize to nanoseconds so ms-unit benchmarks compare too.
         unit = b.get("time_unit", "ns")
@@ -56,11 +66,11 @@ def load_report(path):
         if scale is None or key not in b:
             continue
         times[b["name"]] = float(b[key]) * scale
-    if not times:
+    if not times and not errors:
         sys.stderr.write(f"bench_micro_diff: {path} has no benchmarks\n")
         sys.exit(2)
     cpus = doc.get("context", {}).get("num_cpus")
-    return times, (int(cpus) if cpus is not None else None)
+    return times, errors, (int(cpus) if cpus is not None else None)
 
 
 def main():
@@ -77,8 +87,13 @@ def main():
                          "the baseline's CPU count does not match")
     args = ap.parse_args()
 
-    cur, cur_cpus = load_report(args.current)
-    base, base_cpus = load_report(args.baseline)
+    cur, cur_errors, cur_cpus = load_report(args.current)
+    base, _, base_cpus = load_report(args.baseline)
+    if cur_errors:
+        for name, message in sorted(cur_errors.items()):
+            sys.stderr.write(f"bench_micro_diff: ERROR: {name}: "
+                             f"{message}\n")
+        sys.exit(1)
     common = sorted(set(cur) & set(base))
 
     def fmt(n):
