@@ -57,13 +57,14 @@ inline int graphBenchMain(int Argc, char **Argv, const char *Name,
   double Scale = Args.getDouble("scale", DefaultScale);
   Spec = scaleSpec(Spec, Scale);
   Spec.Seed = static_cast<uint64_t>(Args.getInt("seed", Spec.Seed));
-  CsrGraph Csr = generateWebGraph(Spec);
-  std::fprintf(stderr, "%s: graph nodes=%zu edges=%zu (scale %.2f)\n",
-               Name, Csr.N, Csr.edgeCount(), Scale);
-
   bool Mc = McAlgo;
   uint64_t Iters = static_cast<uint64_t>(
       Args.getInt(Mc ? "budget" : "iters", DefaultItersOrBudget));
+  Args.rejectUnknown();
+
+  CsrGraph Csr = generateWebGraph(Spec);
+  std::fprintf(stderr, "%s: graph nodes=%zu edges=%zu (scale %.2f)\n",
+               Name, Csr.N, Csr.edgeCount(), Scale);
 
   Exp.Body = [&Csr, Mc, Iters](Mutator &M, RunMeasurement &) -> uint64_t {
     ManagedGraph G(M, Csr, /*ShuffleSeed=*/0x5eed, /*WithNeighborIds=*/Mc);

@@ -38,6 +38,7 @@ int main(int Argc, char **Argv) {
   P.ArraySize = static_cast<size_t>(Args.getInt("array", 150000));
   P.InnerIters = static_cast<size_t>(Args.getInt("inner", 60000));
   P.OuterIters = static_cast<unsigned>(Args.getInt("outer", 12));
+  Args.rejectUnknown();
 
   const Variant Variants[] = {
       {"baseline ZGC", false, 0.0, false},

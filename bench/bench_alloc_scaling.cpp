@@ -170,6 +170,7 @@ int main(int Argc, char **Argv) {
     Ops = static_cast<uint64_t>(Args.getInt("ops", 60000));
     HeapMb = static_cast<size_t>(Args.getInt("heap-mb", 128));
   }
+  Args.rejectUnknown();
 
   std::vector<unsigned> Counts = parseList(List);
   if (Counts.empty()) {

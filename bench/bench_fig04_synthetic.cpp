@@ -38,6 +38,7 @@ int main(int Argc, char **Argv) {
   P.ComputeCyclesPerOp =
       static_cast<uint64_t>(Args.getInt("compute", 40));
   P.Phases = 1;
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &) {
     return runSynthetic(M, P).Checksum;

@@ -32,6 +32,7 @@ int main(int Argc, char **Argv) {
   P.Phases = static_cast<unsigned>(Args.getInt("phases", 3));
   P.ComputeCyclesPerOp =
       static_cast<uint64_t>(Args.getInt("compute", 40));
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &) {
     return runSynthetic(M, P).Checksum;

@@ -37,6 +37,7 @@ int main(int Argc, char **Argv) {
   P.OuterIters = static_cast<unsigned>(Args.getInt("outer", 16));
   P.ComputeCyclesPerOp =
       static_cast<uint64_t>(Args.getInt("compute", 40));
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &) {
     return runSynthetic(M, P).Checksum;

@@ -30,6 +30,7 @@ int main(int Argc, char **Argv) {
   P.Transactions =
       static_cast<unsigned>(Args.getInt("txns", 40000));
   P.Accounts = static_cast<unsigned>(Args.getInt("accounts", P.Accounts));
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &) {
     return runTradeSim(M, P).BalanceChecksum;

@@ -36,6 +36,7 @@ int main(int Argc, char **Argv) {
   MiniDbParams P;
   P.Rows = static_cast<unsigned>(Args.getInt("rows", 40000));
   P.Ops = static_cast<unsigned>(Args.getInt("ops", 50000));
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &) {
     MiniDbResult R = runMiniDb(M, P);

@@ -31,6 +31,7 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned>(Args.getInt("levels", 6));
   P.TxnsPerLevelBase = static_cast<unsigned>(
       Args.getInt("txns-per-level", P.TxnsPerLevelBase));
+  Args.rejectUnknown();
 
   Spec.Body = [P](Mutator &M, RunMeasurement &Meas) {
     JbbSimResult R = runJbbSim(M, P);

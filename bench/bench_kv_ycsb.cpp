@@ -127,6 +127,7 @@ int main(int Argc, char **Argv) {
       static_cast<uint64_t>(Args.getInt("compute", 64));
   P.Seed = static_cast<uint64_t>(Args.getInt("seed", 0x5EED));
   std::string OutPath = Args.getString("out", "");
+  Args.rejectUnknown();
   if (P.ReadPct + P.UpdatePct > 100) {
     std::fprintf(stderr,
                  "bench_kv_ycsb: --read-pct + --update-pct > 100\n");

@@ -128,7 +128,7 @@ static void BM_PrefetcherObserve(benchmark::State &State) {
   MixedStream Gen(7);
   for (uint64_t &L : Lines)
     L = Gen.next().Addr / 64;
-  StreamPrefetcher P(CacheConfig().StreamTableSize);
+  StreamPrefetcher P(CacheHierarchy::StreamTableSize);
   size_t I = 0, Locked = 0;
   for (auto _ : State) {
     Locked += P.observe(Lines[I]) != 0;

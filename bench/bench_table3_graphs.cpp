@@ -39,6 +39,7 @@ static void report(const char *Name, const GraphSpec &Spec,
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   double Scale = Args.getDouble("scale", 1.0);
+  Args.rejectUnknown();
 
   std::printf("Table 3: graph datasets (synthetic stand-ins for the LAW "
               "subgraphs; scale=%.2f)\n\n",

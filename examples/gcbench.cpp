@@ -97,6 +97,7 @@ int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   int MaxDepth = static_cast<int>(Args.getInt("max-depth", 14));
   int ConfigId = static_cast<int>(Args.getInt("config", 16));
+  Args.rejectUnknown();
 
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 256 * 1024;

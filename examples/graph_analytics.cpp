@@ -69,6 +69,7 @@ int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   double Scale = Args.getDouble("scale", 0.2);
   unsigned Iters = static_cast<unsigned>(Args.getInt("iters", 8));
+  Args.rejectUnknown();
 
   CsrGraph Csr = generateWebGraph(scaleSpec(ukCcSpec(), Scale));
   std::printf("graph: %zu nodes, %zu edges (uk(CC) scaled by %.2f)\n\n",

@@ -24,6 +24,7 @@ int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   unsigned Rows = static_cast<unsigned>(Args.getInt("rows", 40000));
   unsigned Ops = static_cast<unsigned>(Args.getInt("ops", 30000));
+  Args.rejectUnknown();
 
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 256 * 1024;
@@ -32,7 +33,6 @@ int main(int Argc, char **Argv) {
   Cfg.Hotness = true;
   Cfg.ColdPage = true;
   Cfg.ColdConfidence = 0.5;
-  Cfg.VerboseGc = true;
 
   Runtime RT(Cfg);
   auto M = RT.attachMutator();

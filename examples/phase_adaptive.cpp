@@ -26,6 +26,7 @@ int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   size_t ArraySize = static_cast<size_t>(Args.getInt("array", 100000));
   unsigned Rounds = static_cast<unsigned>(Args.getInt("rounds", 12));
+  Args.rejectUnknown();
 
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 256 * 1024;

@@ -27,7 +27,6 @@ int main() {
   Cfg.ColdPage = true;
   Cfg.ColdConfidence = 1.0;
   Cfg.LazyRelocate = true;
-  Cfg.VerboseGc = true;    // print one line per GC cycle
   Cfg.TraceEnabled = true; // record GC events for chrome://tracing
   // Per-object events (hot flags, relocations) are plentiful; give each
   // thread a deeper ring so the demo trace keeps most of them.

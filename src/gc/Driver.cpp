@@ -16,7 +16,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 
 #if __has_include(<sys/mman.h>)
 #include <sys/mman.h>
@@ -291,21 +290,6 @@ void GcDriver::drainRelocationSet(EcSet &Ec, CycleRecord &Rec) {
   Rec.BytesRelocated += BytesMut + BytesGc;
   Rec.RelocMs += Sw.elapsedMs();
   Rec.UsedAfterBytes = Heap.allocator().usedBytes();
-
-  if (Heap.config().VerboseGc)
-    std::fprintf(stderr,
-                 "[gc] cycle=%llu ec_small=%llu ec_medium=%llu empty=%llu "
-                 "reloc_mut=%llu reloc_gc=%llu live=%lluK hot=%lluK "
-                 "used=%lluK\n",
-                 (unsigned long long)Rec.Cycle,
-                 (unsigned long long)Rec.SmallPagesInEc,
-                 (unsigned long long)Rec.MediumPagesInEc,
-                 (unsigned long long)Rec.EmptyPagesReclaimed,
-                 (unsigned long long)Rec.ObjectsRelocatedByMutators,
-                 (unsigned long long)Rec.ObjectsRelocatedByGc,
-                 (unsigned long long)(Rec.LiveBytesMarked / 1024),
-                 (unsigned long long)(Rec.HotBytesMarked / 1024),
-                 (unsigned long long)(Rec.UsedAfterBytes / 1024));
 }
 
 void GcDriver::accumulateTemperatureTiers(uint64_t Cycle) {

@@ -12,15 +12,11 @@
 
 using namespace hcsgc;
 
-double hcsgc::weightedLiveBytes(const Page &P, bool Hotness,
-                                double ColdConfidence) {
+double hcsgc::weightedLiveBytes(const Page &P, const GcConfig &Cfg) {
   // One shared formula (observe/HeapSnapshot.h) so the selector, the
   // snapshot capture and the offline replay agree bit-for-bit.
-  return wlbFormula(P.liveBytes(), P.hotBytes(), Hotness, ColdConfidence);
-}
-
-double hcsgc::weightedLiveBytes(const Page &P, const GcConfig &Cfg) {
-  return weightedLiveBytes(P, Cfg.Hotness, Cfg.ColdConfidence);
+  return wlbFormula(P.liveBytes(), P.hotBytes(), Cfg.Hotness,
+                    Cfg.ColdConfidence);
 }
 
 double hcsgc::reclamationDemand(size_t UsedBytes, size_t QuarantinedBytes,
@@ -63,7 +59,7 @@ SnapSizeClass snapClassOf(PageSizeClass C) {
 /// until at least \p RequiredFree bytes would be reclaimed, so allocation
 /// cannot outrun a fixed budget into OOM.
 static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
-                         double RequiredFree, std::vector<Page *> &Out,
+                         double RequiredFree, std::vector<Candidate> &Out,
                          uint64_t &Count) {
   std::sort(Cands.begin(), Cands.end(),
             [](const Candidate &A, const Candidate &B) {
@@ -82,7 +78,7 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
     // only has the recorded value, performs identical arithmetic.
     Freed += static_cast<double>(C.P->size()) -
              static_cast<double>(C.Live);
-    Out.push_back(C.P);
+    Out.push_back(C);
     ++Count;
   }
 }
@@ -190,27 +186,24 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       if (Cfg.Temperature)
         for (unsigned T = 0; T < SnapTempTiers; ++T)
           TB[T] = P->tempTierBytes(T);
-      // The traced WLB is recomputed inside the macro so the untraced
-      // RELOCATEALLSMALLPAGES path keeps skipping the computation.
-      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                  TraceEventKind::EcPageConsidered, Ec.Cycle, P->begin(),
-                  Live, Hot,
-                  traceBitsFromDouble(
-                      Cfg.Temperature
-                          ? wlbTempFormula(Live, TB, Cfg.Hotness, EffCc)
-                          : wlbFormula(Live, Hot, Cfg.Hotness, EffCc)));
-      if (Cfg.RelocateAllSmallPages) {
-        // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
-        // Candidates start as RejectedBudget and flip to Selected below;
-        // under RELOCATEALLSMALLPAGES everything flips.
-        note(*P, Live, Hot, 0.0, EcVerdict::RejectedBudget,
-             Cfg.Temperature ? TB : nullptr);
-        Small.push_back({P, 0.0, Live});
-        break;
-      }
+      // One weight per page: the considered and selected events carry
+      // the same value the threshold and budget tests use.
       double W = Cfg.Temperature
                      ? wlbTempFormula(Live, TB, Cfg.Hotness, EffCc)
                      : wlbFormula(Live, Hot, Cfg.Hotness, EffCc);
+      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
+                  TraceEventKind::EcPageConsidered, Ec.Cycle, P->begin(),
+                  Live, Hot, traceBitsFromDouble(W));
+      if (Cfg.RelocateAllSmallPages) {
+        // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
+        // Candidates start as RejectedBudget and flip to Selected below;
+        // under RELOCATEALLSMALLPAGES everything flips. The audit records
+        // weight 0: no decision read it.
+        note(*P, Live, Hot, 0.0, EcVerdict::RejectedBudget,
+             Cfg.Temperature ? TB : nullptr);
+        Small.push_back({P, W, Live});
+        break;
+      }
       double Ratio = W / static_cast<double>(P->size());
       if (Ratio <= Cfg.EvacLiveThreshold) {
         note(*P, Live, Hot, W, EcVerdict::RejectedBudget,
@@ -261,23 +254,22 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       Heap.allocator().usedBytes(), Heap.allocator().quarantinedBytes(),
       Heap.allocator().maxHeapBytes(), Cfg.TriggerFraction);
 
+  std::vector<Candidate> Selected;
   double SmallBudget = 0.0;
   if (Cfg.RelocateAllSmallPages) {
-    for (const Candidate &C : Small) {
-      Ec.Pages.push_back(C.P);
-      ++Ec.SmallCount;
-    }
+    Ec.SmallCount = Small.size();
+    Selected = std::move(Small);
   } else {
     SmallBudget = Cfg.EvacBudgetFraction *
                   static_cast<double>(Geo.SmallPageSize) *
                   Cfg.EvacBudgetPages;
-    selectPrefix(Small, SmallBudget, RequiredFree, Ec.Pages,
+    selectPrefix(Small, SmallBudget, RequiredFree, Selected,
                  Ec.SmallCount);
   }
   double MediumBudget = Cfg.EvacBudgetFraction *
                         static_cast<double>(Geo.MediumPageSize) *
                         Cfg.EvacBudgetPages;
-  selectPrefix(Medium, MediumBudget, 0.0, Ec.Pages, Ec.MediumCount);
+  selectPrefix(Medium, MediumBudget, 0.0, Selected, Ec.MediumCount);
 
   if (Audit) {
     Audit->BudgetSmall = SmallBudget;
@@ -287,7 +279,9 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
 
   // Install forwarding tables; mutators begin relocating these pages only
   // after STW3 flips the good color to R.
-  for (Page *P : Ec.Pages) {
+  for (const Candidate &C : Selected) {
+    Page *P = C.P;
+    Ec.Pages.push_back(P);
     if (Audit) {
       auto It = AuditIndex.find(P->begin());
       assert(It != AuditIndex.end() &&
@@ -297,11 +291,7 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
     }
     HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
                 TraceEventKind::EcPageSelected, Ec.Cycle, P->begin(),
-                P->liveBytes(), P->hotBytes(),
-                traceBitsFromDouble(
-                    P->sizeClass() == PageSizeClass::Small
-                        ? weightedLiveBytes(*P, Cfg.Hotness, EffCc)
-                        : static_cast<double>(P->liveBytes())));
+                P->liveBytes(), P->hotBytes(), traceBitsFromDouble(C.Weight));
     P->beginEvacuation();
   }
 

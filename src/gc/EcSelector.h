@@ -50,11 +50,6 @@ struct EcSet {
 /// bytes when HOTNESS is off or ColdConfidence is 0, cf. §3.1.3).
 double weightedLiveBytes(const Page &P, const GcConfig &Cfg);
 
-/// Core WLB formula with an explicit confidence (used by the §4.8
-/// auto-tuner, which varies the confidence at run time).
-double weightedLiveBytes(const Page &P, bool Hotness,
-                         double ColdConfidence);
-
 /// \returns the bytes EC selection must (eventually) reclaim to bring
 /// usage back under the pacing point. Quarantined pages count as still
 /// occupied: they have left the logical heap but hold address space

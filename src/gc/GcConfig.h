@@ -23,8 +23,13 @@
 /// the modeled instruction costs (Barrier.cpp, Marker.cpp,
 /// Relocator.cpp), the mark-prefetch distance (Marker.cpp), the
 /// page-cache refill batch (PageAllocator::CacheBatch/Max), the
-/// proven-cold streak (Page::ProvenColdStreak) and the snapshot ring
-/// size (HeapSnapshotter::RingCaptures).
+/// proven-cold streak (Page::ProvenColdStreak), the snapshot ring size
+/// (HeapSnapshotter::RingCaptures), the allocation-stall retry budget
+/// (Mutator::AllocStallRetries, 5), the relocation-target reserve and
+/// the site-profile window (RelocReservePages, 4, and
+/// SiteProfileCycles, 3, in GcHeap.cpp), and the simulated machine's
+/// line size, associativities, latencies and prefetcher (CacheHierarchy;
+/// only the three cache capacities in CacheConfig scale).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,10 +81,6 @@ struct GcConfig {
   /// routed to warm/cold-tier pages via a per-thread secondary TLAB, so
   /// the objects never occupy hot small pages at all. Requires HOTNESS.
   bool SiteProfiling = false;
-  /// Cycles a site must be observed before its EWMA is trusted enough to
-  /// route allocations away from the hot path; also sets the EWMA half
-  /// life (alpha = 2 / (cycles + 1)). Clamped to at least 1.
-  unsigned SiteProfileCycles = 3;
 
   // --- ZGC-inherited parameters ------------------------------------------
   /// Candidate filter: pages whose (weighted) live ratio is at or below
@@ -106,25 +107,13 @@ struct GcConfig {
   HeapGeometry Geometry;
   size_t MaxHeapBytes = size_t(256) << 20;
   /// Address space to reserve; 0 means 3 * MaxHeapBytes (quarantine
-  /// headroom, see DESIGN.md).
+  /// headroom, see DESIGN.md). The relocation-target reserve
+  /// (RelocReservePages in GcHeap.cpp) is carved on top of it.
   size_t ReservedBytes = 0;
   /// General-pool shard count for the page allocator's lock striping;
   /// 0 picks one shard per hardware thread (capped at 8). Always clamped
   /// so each shard spans at least one medium page (see INTERNALS §10).
   unsigned AllocatorShards = 0;
-
-  // --- Failure semantics ---------------------------------------------------
-  /// Small pages of address space set aside exclusively for relocation
-  /// targets (plus one medium page), carved on top of ReservedBytes.
-  /// When the general reservation is exhausted, allocateRelocTarget
-  /// falls back to this pool so evacuation keeps making progress instead
-  /// of aborting. 0 disables the reserve.
-  size_t RelocReservePages = 4;
-  /// GC-assisted stalls a mutator allocation endures before surfacing
-  /// HeapExhausted. Each stall waits for one full cycle (two under
-  /// LAZYRELOCATE); the final attempt runs an emergency synchronous
-  /// cycle that drains the deferred relocation set immediately.
-  unsigned AllocStallRetries = 5;
 
   // --- Instrumentation ------------------------------------------------------
   /// When true every thread gets a CacheHierarchy probe and all heap
@@ -133,12 +122,10 @@ struct GcConfig {
   /// their single use (Barrier.cpp, Marker.cpp, Relocator.cpp).
   bool EnableProbes = false;
   CacheConfig Cache;
-  /// Print a per-cycle log line (like ZGC's -Xlog:gc).
-  bool VerboseGc = false;
   /// Arm the GC event trace at startup (equivalent to calling
   /// Runtime::setTraceEnabled(true) before the first cycle). Tracing can
-  /// also be toggled at runtime; this knob exists so harness configs can
-  /// request it declaratively.
+  /// also be toggled at runtime; this knob exists so a config (tests,
+  /// gc_torture --trace-dir, bench/e2e) can request it declaratively.
   bool TraceEnabled = false;
   /// Per-thread trace ring capacity in events. Overflow drops the newest
   /// events and counts them, it never blocks the hot path.

@@ -14,21 +14,24 @@
 
 using namespace hcsgc;
 
-/// Sizes the relocation-target reserve: the configured number of small
-/// pages plus one medium page, so both target classes can fall back to
-/// the reserve at least once per cycle even when the general
-/// reservation is fully consumed by quarantined pages.
-static size_t relocReserveBytesFor(const GcConfig &C) {
-  if (C.RelocReservePages == 0)
-    return 0;
-  return C.RelocReservePages * C.Geometry.SmallPageSize +
-         C.Geometry.MediumPageSize;
-}
+/// The relocation-target reserve, carved on top of ReservedBytes: this
+/// many small pages plus one medium page of address space for relocation
+/// targets only. When the general reservation is exhausted (quarantined
+/// pages can hold all of it), allocateRelocTarget falls back to this pool,
+/// so both target classes make progress at least once per cycle instead
+/// of aborting.
+static constexpr size_t RelocReservePages = 4;
+
+/// Cycles a site must be observed before its EWMA is trusted enough to
+/// route allocations away from the hot path; also sets the EWMA half
+/// life (alpha = 2 / (cycles + 1)).
+static constexpr unsigned SiteProfileCycles = 3;
 
 GcHeap::GcHeap(const GcConfig &C)
     : Cfg(C), Alloc(C.Geometry, C.MaxHeapBytes, C.ReservedBytes,
-                    relocReserveBytesFor(C), C.AllocatorShards,
-                    C.Hotness && C.Temperature,
+                    RelocReservePages * C.Geometry.SmallPageSize +
+                        C.Geometry.MediumPageSize,
+                    C.AllocatorShards, C.Hotness && C.Temperature,
                     C.Hotness && C.SiteProfiling),
       Trace(C.TraceBufferEvents) {
   if (!Cfg.knobsValid())
@@ -64,7 +67,7 @@ GcHeap::GcHeap(const GcConfig &C)
   Counter *SiteFlips = &Metrics.counter("site.route_flips");
   Counter *SiteCycles = &Metrics.counter("site.profile_cycles");
   if (Cfg.Hotness && Cfg.SiteProfiling) {
-    Sites = std::make_unique<SiteProfileTable>(Cfg.SiteProfileCycles);
+    Sites = std::make_unique<SiteProfileTable>(SiteProfileCycles);
     Sites->bindMetrics(SiteTagged, SiteSurvived, SiteRelocated,
                        SitePretenured, SiteFlips, SiteCycles);
   }
@@ -253,7 +256,7 @@ Page *GcHeap::allocateRelocTarget(PageSizeClass Cls, size_t ObjectBytes,
   if (!P)
     fatalError("address space exhausted while allocating relocation "
                "target (reservation and relocation reserve both empty; "
-               "raise ReservedBytes or RelocReservePages)");
+               "raise ReservedBytes)");
   P->pinAsTarget();
   if (Tier != PageTier::None)
     Alloc.notePageTier(P, Tier);

@@ -209,10 +209,6 @@ void hcsgc::applyCommonFlags(const ArgParse &Args, ExperimentSpec &Spec) {
       "trigger", Spec.BaseConfig.TriggerFraction);
   Spec.BaseConfig.TriggerHysteresisFraction = Args.getDouble(
       "hysteresis", Spec.BaseConfig.TriggerHysteresisFraction);
-  if (Args.getBool("verbose-gc", false))
-    Spec.BaseConfig.VerboseGc = true;
-  if (Args.getBool("trace", false))
-    Spec.BaseConfig.TraceEnabled = true;
   Spec.SnapshotLogBase =
       Args.getString("snapshot-log", Spec.SnapshotLogBase);
 }

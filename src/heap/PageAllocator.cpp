@@ -167,7 +167,8 @@ void PageAllocator::notePageTier(Page *P, PageTier T) {
     ColdBytes.fetch_sub(P->size(), std::memory_order_relaxed);
   if (T == PageTier::Cold) {
     ColdBytes.fetch_add(P->size(), std::memory_order_relaxed);
-    note(StColdPages, CtrColdPages);
+    if (CtrColdPages)
+      CtrColdPages->increment();
   }
 }
 

@@ -320,7 +320,6 @@ private:
   std::atomic<uint64_t> StQuarBatches{0};
   std::atomic<uint64_t> StQuarLocks{0};
   std::atomic<uint64_t> StQuarPages{0};
-  std::atomic<uint64_t> StColdPages{0};
   std::atomic<uint64_t> StUnitsTouched{0};
   Counter *CtrShardLocks = nullptr;
   Counter *CtrFallbacks = nullptr;

@@ -8,6 +8,8 @@
 #include "observe/Json.h"
 
 #include <cctype>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -310,4 +312,24 @@ bool hcsgc::parseJson(const std::string &Text, JsonValue &Out,
                       std::string &Error) {
   Parser P(Text, Error);
   return P.parse(Out);
+}
+
+void hcsgc::appendf(std::string &Out, const char *Fmt, ...) {
+  va_list Ap, Again;
+  va_start(Ap, Fmt);
+  va_copy(Again, Ap);
+  // Most fields fit the stack buffer; a longer one is formatted a second
+  // time straight into the grown string.
+  char Buf[128];
+  int N = std::vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
+  if (N > 0 && static_cast<size_t>(N) < sizeof(Buf)) {
+    Out.append(Buf, static_cast<size_t>(N));
+  } else if (N > 0) {
+    size_t Old = Out.size();
+    Out.resize(Old + static_cast<size_t>(N) + 1);
+    std::vsnprintf(&Out[Old], static_cast<size_t>(N) + 1, Fmt, Again);
+    Out.resize(Old + static_cast<size_t>(N));
+  }
+  va_end(Again);
+  va_end(Ap);
 }

@@ -8,9 +8,10 @@
 /// \file
 /// A deliberately small JSON document model and recursive-descent parser,
 /// sufficient for reading back the Chrome trace_event files the exporter
-/// writes (tools/gctrace, the round-trip test). No external dependency;
-/// numbers are stored as doubles (every value the exporter emits fits a
-/// double exactly — addresses are written as hex strings).
+/// writes (tools/gctrace, the round-trip test), plus the one formatting
+/// helper the writers share. No external dependency; numbers are stored
+/// as doubles (every value the exporter emits fits a double exactly —
+/// addresses are written as hex strings).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,6 +77,11 @@ private:
 /// message including the byte offset.
 bool parseJson(const std::string &Text, JsonValue &Out,
                std::string &Error);
+
+/// Appends printf-style output to \p Out, however long it is: the
+/// string grows to fit, nothing is truncated.
+void appendf(std::string &Out, const char *Fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 } // namespace hcsgc
 

@@ -10,26 +10,12 @@
 #include "observe/Json.h"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdlib>
 #include <cstring>
 
 using namespace hcsgc;
 
 namespace {
-
-void appendf(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[128];
-  va_list Ap;
-  va_start(Ap, Fmt);
-  int N = std::vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
-  va_end(Ap);
-  if (N > 0)
-    Out.append(Buf, static_cast<size_t>(N));
-}
 
 void appendHex(std::string &Out, uint64_t V) {
   appendf(Out, "\"0x%" PRIx64 "\"", V);

@@ -11,29 +11,14 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstring>
 
 using namespace hcsgc;
 
 namespace {
 
-void appendF(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendF(std::string &Out, const char *Fmt, ...) {
-  char Buf[256];
-  va_list Ap;
-  va_start(Ap, Fmt);
-  int N = std::vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
-  va_end(Ap);
-  if (N > 0)
-    Out.append(Buf, static_cast<size_t>(std::min<int>(
-                        N, static_cast<int>(sizeof(Buf) - 1))));
-}
-
 void appendHex(std::string &Out, const char *Key, uint64_t V) {
-  appendF(Out, "\"%s\":\"0x%" PRIx64 "\"", Key, V);
+  appendf(Out, "\"%s\":\"0x%" PRIx64 "\"", Key, V);
 }
 
 /// Chrome "B"/"E" pair name for a duration-style event, or nullptr for
@@ -64,14 +49,14 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
   const char *Ph = Name ? (isBeginKind(E.Kind) ? "B" : "E") : "i";
   if (!Name)
     Name = traceEventKindName(E.Kind);
-  appendF(Out, "{\"name\":\"%s\",\"cat\":\"gc\",\"ph\":\"%s\",", Name,
+  appendf(Out, "{\"name\":\"%s\",\"cat\":\"gc\",\"ph\":\"%s\",", Name,
           Ph);
-  appendF(Out, "\"ts\":%.3f,\"pid\":1,\"tid\":%u,",
+  appendf(Out, "\"ts\":%.3f,\"pid\":1,\"tid\":%u,",
           static_cast<double>(E.TimeNs) / 1000.0,
           static_cast<unsigned>(E.Tid));
   if (*Ph == 'i')
     Out += "\"s\":\"t\",";
-  appendF(Out, "\"args\":{\"cycle\":%" PRIu64 ",\"gc_thread\":%s",
+  appendf(Out, "\"args\":{\"cycle\":%" PRIu64 ",\"gc_thread\":%s",
           E.Cycle, E.GcThread ? "true" : "false");
   switch (E.Kind) {
   case TraceEventKind::CycleBegin:
@@ -82,46 +67,46 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
     break;
   case TraceEventKind::PhaseBegin:
     if (static_cast<GcPhase>(E.A) == GcPhase::EcSelect) {
-      appendF(Out, ",\"confidence\":%.17g,\"hotness\":%s",
+      appendf(Out, ",\"confidence\":%.17g,\"hotness\":%s",
               traceDoubleFromBits(E.B), E.C ? "true" : "false");
     }
     break;
   case TraceEventKind::HotmapReset:
-    appendF(Out, ",\"pages\":%" PRIu64, E.A);
+    appendf(Out, ",\"pages\":%" PRIu64, E.A);
     break;
   case TraceEventKind::EcPageConsidered:
   case TraceEventKind::EcPageSelected:
     Out += ',';
     appendHex(Out, "page", E.A);
-    appendF(Out, ",\"live_bytes\":%" PRIu64 ",\"hot_bytes\":%" PRIu64
+    appendf(Out, ",\"live_bytes\":%" PRIu64 ",\"hot_bytes\":%" PRIu64
                  ",\"wlb\":%.17g",
             E.B, E.C, traceDoubleFromBits(E.D));
     break;
   case TraceEventKind::EcPageReclaimed:
     Out += ',';
     appendHex(Out, "page", E.A);
-    appendF(Out, ",\"page_bytes\":%" PRIu64, E.B);
+    appendf(Out, ",\"page_bytes\":%" PRIu64, E.B);
     break;
   case TraceEventKind::HotFlag:
     Out += ',';
     appendHex(Out, "addr", E.A);
-    appendF(Out, ",\"bytes\":%" PRIu64, E.B);
+    appendf(Out, ",\"bytes\":%" PRIu64, E.B);
     break;
   case TraceEventKind::Relocation:
     Out += ',';
     appendHex(Out, "from", E.A);
     Out += ',';
     appendHex(Out, "to", E.B);
-    appendF(Out, ",\"bytes\":%" PRIu64, E.C);
+    appendf(Out, ",\"bytes\":%" PRIu64, E.C);
     break;
   case TraceEventKind::AllocStall:
-    appendF(Out,
+    appendf(Out,
             ",\"bytes\":%" PRIu64 ",\"attempt\":%" PRIu64
             ",\"cycles\":%" PRIu64,
             E.A, E.B, E.C);
     break;
   case TraceEventKind::EmergencyCycle:
-    appendF(Out, ",\"used_bytes\":%" PRIu64 ",\"quarantined_bytes\":%" PRIu64,
+    appendf(Out, ",\"used_bytes\":%" PRIu64 ",\"quarantined_bytes\":%" PRIu64,
             E.A, E.B);
     break;
   }
@@ -171,14 +156,14 @@ std::string hcsgc::chromeTraceToString(const CollectedTrace &T) {
   Out.reserve(T.Events.size() * 160 + 1024);
   Out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"hcsgc\","
          "\"dropped_events\":";
-  appendF(Out, "%" PRIu64, T.DroppedTotal);
+  appendf(Out, "%" PRIu64, T.DroppedTotal);
   Out += "},\"traceEvents\":[";
   bool First = true;
   for (const TraceThreadInfo &Info : T.Threads) {
     if (!First)
       Out += ',';
     First = false;
-    appendF(Out,
+    appendf(Out,
             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
             "\"tid\":%u,\"args\":{\"name\":\"%s-%u\"}}",
             static_cast<unsigned>(Info.Tid),

@@ -190,9 +190,8 @@ uintptr_t Mutator::allocRaw(size_t Bytes, StallInfo &SI, SiteId Site) {
   // LAZYRELOCATE, where cycle k defers its relocation set and only
   // cycle k+1's drain actually releases the evacuated memory.
   const unsigned CyclesPerStall = Cfg.LazyRelocate ? 2 : 1;
-  const unsigned Retries = std::max(1u, Cfg.AllocStallRetries);
 
-  for (unsigned Attempt = 0; Attempt <= Retries; ++Attempt) {
+  for (unsigned Attempt = 0; Attempt <= AllocStallRetries; ++Attempt) {
     // Tier 0 (pretenure): sites with a cold/warm verdict bump into the
     // secondary TLAB; a denied refill falls through to the normal tiers.
     // Tier 1 (fast): TLAB bump, no locks. Tier 2 (mid): refill from the
@@ -229,14 +228,14 @@ uintptr_t Mutator::allocRaw(size_t Bytes, StallInfo &SI, SiteId Site) {
       }
       return Addr;
     }
-    if (Attempt == Retries)
+    if (Attempt == AllocStallRetries)
       break; // retries exhausted; surface HeapExhausted to the caller
 
     // Allocation stall: GC-assisted backoff. The last retry runs an
     // emergency synchronous cycle that drains the deferred relocation
     // set immediately, so exhaustion is only declared once everything
     // reclaimable has actually been reclaimed.
-    bool Emergency = Attempt + 1 == Retries;
+    bool Emergency = Attempt + 1 == AllocStallRetries;
     unsigned WaitCycles = Emergency ? 1 : CyclesPerStall;
     HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
                 TraceEventKind::AllocStall, Heap.currentCycle(), Bytes,

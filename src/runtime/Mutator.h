@@ -101,12 +101,16 @@ public:
   // --- Allocation --------------------------------------------------------
   //
   // Heap exhaustion is recoverable: the slow path stalls through
-  // GcConfig::AllocStallRetries GC-assisted retries (each waiting one
-  // full cycle, or two under LAZYRELOCATE, the last one an emergency
-  // synchronous cycle), and only then reports failure — the allocate*
-  // family by throwing HeapExhaustedError, the tryAllocate* family by
-  // returning AllocStatus::HeapExhausted with \p Out left null. The
-  // process is never aborted.
+  // AllocStallRetries GC-assisted retries (each waiting one full cycle,
+  // or two under LAZYRELOCATE, the last one an emergency synchronous
+  // cycle), and only then reports failure — the allocate* family by
+  // throwing HeapExhaustedError, the tryAllocate* family by returning
+  // AllocStatus::HeapExhausted with \p Out left null. The process is
+  // never aborted.
+
+  /// GC-assisted stalls one allocation endures before it reports
+  /// HeapExhausted.
+  static constexpr unsigned AllocStallRetries = 5;
 
   // Every allocation entry point takes an optional allocation-site id
   // (tag call sites with HCSGC_ALLOC_SITE("name"); the default leaves

@@ -7,9 +7,6 @@
 
 #include "simcache/Hierarchy.h"
 
-#include "support/Compiler.h"
-#include "support/MathExtras.h"
-
 using namespace hcsgc;
 
 MemoryProbe::~MemoryProbe() = default;
@@ -25,23 +22,15 @@ void MemoryProbe::onBatch(const ProbeEvent *Events, size_t N) {
   }
 }
 
-static uint32_t setsFor(uint32_t SizeBytes, uint32_t Ways, uint32_t Line) {
-  uint32_t Sets = SizeBytes / (Ways * Line);
+static uint32_t setsFor(uint32_t SizeBytes, uint32_t Ways) {
+  uint32_t Sets = SizeBytes / (Ways * CacheHierarchy::LineSize);
   return Sets ? Sets : 1;
 }
 
-static uint32_t lineShiftFor(uint32_t LineSize) {
-  if (!isPowerOf2(LineSize))
-    fatalError("cache line size must be a power of two");
-  return log2Floor(LineSize);
-}
-
 CacheHierarchy::CacheHierarchy(const CacheConfig &C)
-    : Cfg(C), LineShift(lineShiftFor(C.LineSize)),
-      L1(setsFor(C.L1Size, C.L1Ways, C.LineSize), C.L1Ways),
-      L2(setsFor(C.L2Size, C.L2Ways, C.LineSize), C.L2Ways),
-      L3(setsFor(C.L3Size, C.L3Ways, C.LineSize), C.L3Ways),
-      Pf(C.StreamTableSize) {}
+    : Cfg(C), L1(setsFor(C.L1Size, L1Ways), L1Ways),
+      L2(setsFor(C.L2Size, L2Ways), L2Ways),
+      L3(setsFor(C.L3Size, L3Ways), L3Ways), Pf(StreamTableSize) {}
 
 void CacheHierarchy::flush() {
   L1.clear();
@@ -62,18 +51,18 @@ void CacheHierarchy::prefetchFill(uint64_t Line) {
 
 void CacheHierarchy::demandAccess(uint64_t Line) {
   if (L1.access(Line)) {
-    Counters.Cycles += Cfg.L1Lat;
+    Counters.Cycles += L1Lat;
   } else {
     ++Counters.L1Misses;
     if (L2.access(Line)) {
-      Counters.Cycles += Cfg.L2Lat;
+      Counters.Cycles += L2Lat;
     } else {
       ++Counters.L2Misses;
       if (L3.access(Line)) {
-        Counters.Cycles += Cfg.L3Lat;
+        Counters.Cycles += L3Lat;
       } else {
         ++Counters.LlcMisses;
-        Counters.Cycles += Cfg.MemLat;
+        Counters.Cycles += MemLat;
       }
     }
   }
@@ -81,7 +70,7 @@ void CacheHierarchy::demandAccess(uint64_t Line) {
   if (Cfg.PrefetchEnabled) {
     if (int Stride = Pf.observe(Line)) {
       uint64_t T = Line;
-      for (uint32_t I = 0; I < Cfg.PrefetchDegree; ++I) {
+      for (uint32_t I = 0; I < PrefetchDegree; ++I) {
         T += static_cast<uint64_t>(Stride); // wraps for Stride = -1
         if (!L1.contains(T))
           prefetchFill(T);

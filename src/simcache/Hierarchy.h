@@ -11,9 +11,12 @@
 /// ThreadContext and fed by that thread's replay thread only — one FIFO
 /// stream, so no locking; readers see it after a drain (ProbeBatch.h).
 /// The harness aggregates counters across threads, mirroring how the
-/// paper's `perf` counters cover the whole process. Default geometry matches the paper's
-/// Intel i7-4600U evaluation machine: 32 KiB L1, 256 KiB L2, 4 MiB L3,
-/// 64-byte lines.
+/// paper's `perf` counters cover the whole process. The model is the
+/// paper's Intel i7-4600U evaluation machine: 64-byte lines, 8-way L1 and
+/// L2, a 16-way LLC, one latency per level and a 16-stream prefetcher
+/// fetching 4 lines ahead, all fixed. Only the three capacities (by
+/// default 32 KiB, 256 KiB and 4 MiB) scale, so scaled-down workloads can
+/// still overflow the LLC.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,17 +31,12 @@
 
 namespace hcsgc {
 
-/// Geometry and latency parameters for the simulated hierarchy.
+/// The scalable part of the simulated hierarchy: the three capacities
+/// in bytes, and whether the stream prefetcher runs.
 struct CacheConfig {
-  uint32_t LineSize = 64; ///< Power of two.
-  uint32_t L1Size = 32 * 1024, L1Ways = 8;
-  uint32_t L2Size = 256 * 1024, L2Ways = 8;
-  uint32_t L3Size = 4 * 1024 * 1024, L3Ways = 16;
-  /// Access latencies in cycles (L1 hit, L2 hit, LLC hit, memory). The
-  /// ~10x L1-to-LLC ratio the paper reasons with in §4.4 holds.
-  uint32_t L1Lat = 4, L2Lat = 12, L3Lat = 40, MemLat = 200;
-  uint32_t PrefetchDegree = 4;
-  uint32_t StreamTableSize = 16; ///< At most StreamPrefetcher::MaxStreams.
+  uint32_t L1Size = 32 * 1024;
+  uint32_t L2Size = 256 * 1024;
+  uint32_t L3Size = 4 * 1024 * 1024;
   bool PrefetchEnabled = true;
 };
 
@@ -69,6 +67,16 @@ struct CacheCounters {
 /// Per-thread cache hierarchy implementing the MemoryProbe interface.
 class CacheHierarchy : public MemoryProbe {
 public:
+  /// The modeled machine's fixed parameters.
+  static constexpr uint32_t LineShift = 6; ///< 64-byte lines.
+  static constexpr uint32_t LineSize = 1u << LineShift;
+  static constexpr uint32_t L1Ways = 8, L2Ways = 8, L3Ways = 16;
+  /// Access latencies in cycles (L1 hit, L2 hit, LLC hit, memory). The
+  /// ~10x L1-to-LLC ratio the paper reasons with in §4.4 holds.
+  static constexpr uint32_t L1Lat = 4, L2Lat = 12, L3Lat = 40, MemLat = 200;
+  static constexpr uint32_t PrefetchDegree = 4; ///< Lines fetched ahead.
+  static constexpr uint32_t StreamTableSize = 16; ///< Streams tracked.
+
   explicit CacheHierarchy(const CacheConfig &Cfg = CacheConfig());
 
   void onLoad(uintptr_t Addr, uint32_t Bytes) override;
@@ -88,15 +96,12 @@ public:
   /// Drops cache contents and stream state.
   void flush();
 
-  const CacheConfig &config() const { return Cfg; }
-
 private:
   void accessLines(uintptr_t Addr, uint32_t Bytes, bool IsStore);
   void demandAccess(uint64_t Line);
   void prefetchFill(uint64_t Line);
 
   CacheConfig Cfg;
-  uint32_t LineShift; ///< log2(Cfg.LineSize)
   SetAssocCache L1, L2, L3;
   StreamPrefetcher Pf;
   CacheCounters Counters;

@@ -29,15 +29,30 @@ ArgParse::ArgParse(int Argc, char **Argv) {
     Arg = Arg.substr(2);
     size_t Eq = Arg.find('=');
     if (Eq == std::string::npos)
-      Values[Arg] = "1";
+      Values[Arg].Value = "1";
     else
-      Values[Arg.substr(0, Eq)] = Arg.substr(Eq + 1);
+      Values[Arg.substr(0, Eq)].Value = Arg.substr(Eq + 1);
   }
 }
 
 const std::string *ArgParse::lookup(const std::string &Key) const {
   auto It = Values.find(Key);
-  return It == Values.end() ? nullptr : &It->second;
+  if (It == Values.end())
+    return nullptr;
+  It->second.Read = true;
+  return &It->second.Value;
+}
+
+void ArgParse::rejectUnknown() const {
+  bool Unknown = false;
+  for (const auto &[Key, E] : Values) {
+    if (E.Read)
+      continue;
+    std::fprintf(stderr, "unknown flag: --%s\n", Key.c_str());
+    Unknown = true;
+  }
+  if (Unknown)
+    std::exit(2);
 }
 
 std::string ArgParse::getString(const std::string &Key,

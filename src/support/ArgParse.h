@@ -7,8 +7,9 @@
 ///
 /// \file
 /// A minimal `--key=value` command-line parser for the benchmark and
-/// example binaries. The command line is the only source of values, and
-/// a malformed number is a usage error, never a silent 0.
+/// example binaries. The command line is the only source of values, a
+/// malformed number is a usage error, never a silent 0, and a flag that
+/// no getter reads is a usage error too (rejectUnknown).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,10 +48,20 @@ public:
   /// range prints a message naming the flag and exits with status 2.
   static int64_t parseInt(const std::string &Key, const std::string &Value);
 
+  /// Call after the last getter: if any `--flag` on the command line was
+  /// never looked up, prints every such flag and exits with status 2, so
+  /// a mistyped or removed flag cannot silently do nothing.
+  void rejectUnknown() const;
+
 private:
+  struct Entry {
+    std::string Value;
+    mutable bool Read = false;
+  };
+
   const std::string *lookup(const std::string &Key) const;
 
-  std::map<std::string, std::string> Values;
+  std::map<std::string, Entry> Values;
 };
 
 } // namespace hcsgc

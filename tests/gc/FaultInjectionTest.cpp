@@ -84,9 +84,9 @@ TEST(FaultInjectionTest, ExhaustionIsTypedAndRecoverable) {
     M->allocateRefArray(Arr, Slots);
 
     unsigned Attempts = fillUntilExhausted(*M, Arr, Slots, Cls);
-    // The slow path burned every configured stall (the last one an
+    // The slow path burned its whole stall budget (the last one an
     // emergency cycle) before giving up.
-    EXPECT_EQ(Attempts, Cfg.AllocStallRetries);
+    EXPECT_EQ(Attempts, Mutator::AllocStallRetries);
 
     // The try* API reports the same condition without throwing and
     // leaves the destination null.
@@ -223,7 +223,7 @@ TEST(FaultInjectionTest, ExhaustionStaysTypedUnderLazyRelocate) {
     Root Arr(*M);
     M->allocateRefArray(Arr, Slots);
     unsigned Attempts = fillUntilExhausted(*M, Arr, Slots, Cls);
-    EXPECT_EQ(Attempts, Cfg.AllocStallRetries);
+    EXPECT_EQ(Attempts, Mutator::AllocStallRetries);
 
     // Recovery: drop references, allocate again.
     for (uint32_t I = 0; I < Slots; ++I)

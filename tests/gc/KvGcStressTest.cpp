@@ -52,7 +52,6 @@ GcConfig kvTortureConfig(uint64_t Bits) {
   Cfg.LazyRelocate = (Bits >> 4) & 1;
   Cfg.GcWorkers = 1 + ((Bits >> 5) & 1);
   Cfg.TriggerFraction = 0.6;
-  Cfg.RelocReservePages = 4;
   return Cfg;
 }
 
@@ -443,10 +442,7 @@ KvPretenureRun runKvPretenureWorkload(bool SiteProfile) {
   Cfg.EvacBudgetPages = 16.0;
   Cfg.SnapshotLogEnabled = true;
   Cfg.Temperature = true;
-  if (SiteProfile) {
-    Cfg.SiteProfiling = true;
-    Cfg.SiteProfileCycles = 2;
-  }
+  Cfg.SiteProfiling = SiteProfile;
   Runtime RT(Cfg);
   auto M = RT.attachMutator();
   {

@@ -184,7 +184,6 @@ std::vector<SiteDigest> runSeededSiteWorkload() {
   Cfg.MaxHeapBytes = 16u << 20;
   Cfg.Hotness = true;
   Cfg.SiteProfiling = true;
-  Cfg.SiteProfileCycles = 2;
   Cfg.TriggerFraction = 1.0; // only the explicit requestGcAndWait cycles
   Runtime RT(Cfg);
   ClassId Obj = RT.registerClass("sp.det.Obj", 0, 128);
@@ -252,7 +251,6 @@ GcConfig pretenureConfig() {
   Cfg.MaxHeapBytes = 16u << 20;
   Cfg.Hotness = true;
   Cfg.SiteProfiling = true;
-  Cfg.SiteProfileCycles = 2;
   Cfg.TriggerFraction = 1.0;
   return Cfg;
 }

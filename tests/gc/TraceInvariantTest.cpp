@@ -173,6 +173,67 @@ TEST(TraceInvariantTest, WlbRespectsColdConfidenceBoundaries) {
   }
 }
 
+// The ec_page_selected event carries the weight selection used. Under
+// TEMPERATURE that is the tier-weighted WLB, so a selected small page's
+// weight must equal the one its ec_page_considered event carried in the
+// same cycle, never the 1-cycle hot/cold WLB.
+TEST(TraceInvariantTest, SelectedWeightMatchesConsideredUnderTemperature) {
+  GcConfig Cfg = tracedConfig();
+  Cfg.Hotness = true;
+  Cfg.Temperature = true;
+  Cfg.ColdConfidence = 0.5;
+  Runtime RT(Cfg);
+
+  ClassId Cls = RT.registerClass("ti.T", 0, 24);
+  auto M = RT.attachMutator();
+  {
+    Root Arr(*M), Tmp(*M);
+    const uint32_t N = 40000;
+    M->allocateRefArray(Arr, N);
+    for (uint32_t I = 0; I < N; ++I) {
+      M->allocate(Tmp, Cls);
+      M->storeElem(Arr, I, Tmp);
+    }
+    // Drop two objects in three so the pages fall under the live
+    // threshold, then age the survivors: every fourth one stays hot.
+    for (uint32_t I = 0; I < N; ++I)
+      if (I % 3)
+        M->storeElemNull(Arr, I);
+    for (int Round = 0; Round < 4; ++Round) {
+      for (uint32_t I = 0; I < N; I += 12)
+        M->loadElem(Arr, I, Tmp);
+      M->requestGcAndWait();
+    }
+  }
+  M.reset();
+  CollectedTrace T = RT.collectTrace();
+
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> ConsideredWlb;
+  for (const TraceEvent &E : T.Events)
+    if (E.Kind == TraceEventKind::EcPageConsidered)
+      ConsideredWlb[{E.Cycle, E.A}] = E.D;
+
+  size_t Selected = 0, Tempered = 0;
+  for (const TraceEvent &E : T.Events) {
+    if (E.Kind != TraceEventKind::EcPageSelected)
+      continue;
+    auto It = ConsideredWlb.find({E.Cycle, E.A});
+    if (It == ConsideredWlb.end())
+      continue; // a medium page: no considered event
+    ++Selected;
+    EXPECT_EQ(E.D, It->second)
+        << "cycle " << E.Cycle << ": selected weight "
+        << traceDoubleFromBits(E.D) << " != considered "
+        << traceDoubleFromBits(It->second);
+    if (traceDoubleFromBits(It->second) !=
+        wlbFormula(E.B, E.C, true, Cfg.ColdConfidence))
+      ++Tempered;
+  }
+  EXPECT_GT(Selected, 0u) << "no small page was selected";
+  EXPECT_GT(Tempered, 0u)
+      << "tier weights never differed from the hot/cold WLB; vacuous";
+}
+
 // §3.2 / Fig. 3: under LAZYRELOCATE the RE phase is deferred to the start
 // of the next cycle, so between CycleEnd(N) and CycleBegin(N+1) only
 // mutators relocate. Every GC-thread relocation attributed to cycle N

@@ -256,6 +256,65 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   EXPECT_EQ(replayEcSelection(R.Audit), replayEcSelection(S.Audit));
 }
 
+// 1e15 is exact in a double, so it survives the parser. With every
+// integer at that width one page or site record formats to more than 128
+// bytes in a single printf call; the writer must grow its output rather
+// than truncate it or read past a fixed-size buffer.
+TEST(SnapshotLogTest, WideIntegerFieldsRoundTrip) {
+  constexpr uint64_t Big = 1000000000000000ull;
+  CycleSnapshot S;
+  S.Cycle = Big;
+  S.TimeNs = Big;
+
+  PageRecord P;
+  P.PageBegin = 0x7f0000000000ull;
+  P.PageSize = P.UsedBytes = P.LiveBytes = P.HotBytes = Big;
+  P.AllocSeq = P.RelocOutBytesGc = P.RelocOutBytesMutator = Big;
+  for (uint64_t &T : P.TempBytes)
+    T = Big;
+  P.Wlb = static_cast<double>(Big);
+  S.Pages.push_back(P);
+
+  SiteRecord St;
+  St.SiteIdNum = Big;
+  St.Name = "snap.wide.site";
+  St.AllocatedBytes = St.SurvivedBytes = St.HotBytes = Big;
+  St.RelocatedBytes = St.PretenuredBytes = Big;
+  St.HotEwma = 0.25;
+  St.Route = 2;
+  S.Sites.push_back(St);
+
+  CycleSnapshot R;
+  std::string Error;
+  ASSERT_TRUE(parseSnapshotLine(snapshotToJson(S), R, Error)) << Error;
+  EXPECT_EQ(R.Cycle, Big);
+  EXPECT_EQ(R.TimeNs, Big);
+  ASSERT_EQ(R.Pages.size(), 1u);
+  const PageRecord &Q = R.Pages[0];
+  EXPECT_EQ(Q.PageBegin, P.PageBegin);
+  EXPECT_EQ(Q.PageSize, Big);
+  EXPECT_EQ(Q.UsedBytes, Big);
+  EXPECT_EQ(Q.LiveBytes, Big);
+  EXPECT_EQ(Q.HotBytes, Big);
+  EXPECT_EQ(Q.AllocSeq, Big);
+  EXPECT_EQ(Q.RelocOutBytesGc, Big);
+  EXPECT_EQ(Q.RelocOutBytesMutator, Big);
+  for (unsigned T = 0; T < SnapTempTiers; ++T)
+    EXPECT_EQ(Q.TempBytes[T], Big);
+  EXPECT_EQ(Q.Wlb, P.Wlb);
+  ASSERT_EQ(R.Sites.size(), 1u);
+  const SiteRecord &Rs = R.Sites[0];
+  EXPECT_EQ(Rs.SiteIdNum, Big);
+  EXPECT_EQ(Rs.Name, St.Name);
+  EXPECT_EQ(Rs.AllocatedBytes, Big);
+  EXPECT_EQ(Rs.SurvivedBytes, Big);
+  EXPECT_EQ(Rs.HotBytes, Big);
+  EXPECT_EQ(Rs.RelocatedBytes, Big);
+  EXPECT_EQ(Rs.PretenuredBytes, Big);
+  EXPECT_EQ(Rs.HotEwma, St.HotEwma);
+  EXPECT_EQ(Rs.Route, St.Route);
+}
+
 TEST(SnapshotLogTest, ReadLogSkipsBlanksAndReportsLineNumbers) {
   CycleSnapshot A, B;
   A.Cycle = 1;

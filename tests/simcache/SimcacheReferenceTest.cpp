@@ -32,6 +32,13 @@ using namespace hcsgc;
 
 namespace hcsgc::ref {
 
+/// The modeled machine, written out independently of the production
+/// constants (CacheHierarchy::LineSize etc.) so a change to those fails
+/// here.
+constexpr uint32_t LineSize = 64, L1Ways = 8, L2Ways = 8, L3Ways = 16;
+constexpr uint32_t L1Lat = 4, L2Lat = 12, L3Lat = 40, MemLat = 200;
+constexpr uint32_t StreamTableSize = 16, PrefetchDegree = 4;
+
 class SetAssocCache {
 public:
   SetAssocCache(uint32_t NumSets, uint32_t Ways);
@@ -229,11 +236,11 @@ static uint32_t setsFor(uint32_t SizeBytes, uint32_t Ways, uint32_t Line) {
 }
 
 CacheHierarchy::CacheHierarchy(const CacheConfig &C)
-    : Cfg(C), L1(setsFor(C.L1Size, C.L1Ways, C.LineSize), C.L1Ways),
-      L2(setsFor(C.L2Size, C.L2Ways, C.LineSize), C.L2Ways),
-      L3(setsFor(C.L3Size, C.L3Ways, C.LineSize), C.L3Ways),
-      Pf(C.StreamTableSize, C.PrefetchDegree) {
-  PfTargets.reserve(C.PrefetchDegree);
+    : Cfg(C), L1(setsFor(C.L1Size, L1Ways, LineSize), L1Ways),
+      L2(setsFor(C.L2Size, L2Ways, LineSize), L2Ways),
+      L3(setsFor(C.L3Size, L3Ways, LineSize), L3Ways),
+      Pf(StreamTableSize, PrefetchDegree) {
+  PfTargets.reserve(PrefetchDegree);
 }
 
 void CacheHierarchy::flush() {
@@ -255,18 +262,18 @@ void CacheHierarchy::prefetchFill(uint64_t Line) {
 
 void CacheHierarchy::demandAccess(uint64_t Line) {
   if (L1.access(Line)) {
-    Counters.Cycles += Cfg.L1Lat;
+    Counters.Cycles += L1Lat;
   } else {
     ++Counters.L1Misses;
     if (L2.access(Line)) {
-      Counters.Cycles += Cfg.L2Lat;
+      Counters.Cycles += L2Lat;
     } else {
       ++Counters.L2Misses;
       if (L3.access(Line)) {
-        Counters.Cycles += Cfg.L3Lat;
+        Counters.Cycles += L3Lat;
       } else {
         ++Counters.LlcMisses;
-        Counters.Cycles += Cfg.MemLat;
+        Counters.Cycles += MemLat;
       }
     }
   }
@@ -286,8 +293,8 @@ void CacheHierarchy::accessLines(uintptr_t Addr, uint32_t Bytes,
     ++Counters.Stores;
   else
     ++Counters.Loads;
-  uint64_t First = Addr / Cfg.LineSize;
-  uint64_t Last = (Addr + (Bytes ? Bytes - 1 : 0)) / Cfg.LineSize;
+  uint64_t First = Addr / LineSize;
+  uint64_t Last = (Addr + (Bytes ? Bytes - 1 : 0)) / LineSize;
   for (uint64_t Line = First; Line <= Last; ++Line)
     demandAccess(Line);
 }
@@ -409,7 +416,7 @@ private:
   uint64_t LastLine = 0;
 };
 
-enum class Geometry { Default, GraphCc, PrefetchOff, SmallStreams };
+enum class Geometry { Default, GraphCc, PrefetchOff };
 
 CacheConfig configFor(Geometry G) {
   CacheConfig Cfg;
@@ -423,12 +430,6 @@ CacheConfig configFor(Geometry G) {
     break;
   case Geometry::PrefetchOff:
     Cfg.PrefetchEnabled = false;
-    break;
-  case Geometry::SmallStreams: // full 32-stream table, tiny 2-way L1
-    Cfg.L1Size = 4 * 1024;
-    Cfg.L1Ways = 2;
-    Cfg.StreamTableSize = 32;
-    Cfg.PrefetchDegree = 2;
     break;
   }
   return Cfg;
@@ -492,8 +493,7 @@ std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
                                 "Jittered",     "LineCrossing",
                                 "StoreHeavy",   "Mixed",
                                 "BucketAliased"};
-  static const char *Geos[] = {"Default", "GraphCc", "PrefetchOff",
-                               "SmallStreams"};
+  static const char *Geos[] = {"Default", "GraphCc", "PrefetchOff"};
   return std::string(Kinds[static_cast<int>(std::get<0>(Info.param))]) +
          "_" + Geos[static_cast<int>(std::get<1>(Info.param))];
 }
@@ -506,19 +506,11 @@ INSTANTIATE_TEST_SUITE_P(
                           StreamKind::LineCrossing, StreamKind::StoreHeavy,
                           StreamKind::Mixed, StreamKind::BucketAliased),
         ::testing::Values(Geometry::Default, Geometry::GraphCc,
-                          Geometry::PrefetchOff, Geometry::SmallStreams)),
+                          Geometry::PrefetchOff)),
     paramName);
 
-TEST(SimcacheReferenceDeathTest, LineSizeMustBeAPowerOfTwo) {
-  CacheConfig Cfg;
-  Cfg.LineSize = 48;
-  EXPECT_DEATH(CacheHierarchy H(Cfg), "line size must be a power of two");
-}
-
 TEST(SimcacheReferenceDeathTest, StreamTableIsAtMost32) {
-  CacheConfig Cfg;
-  Cfg.StreamTableSize = 33;
-  EXPECT_DEATH(CacheHierarchy H(Cfg), "stream table size");
+  EXPECT_DEATH(StreamPrefetcher P(33), "stream table size");
 }
 
 } // namespace

@@ -83,3 +83,22 @@ TEST(ArgParseTest, NonFlagArgumentsIgnored) {
   EXPECT_EQ(A.getInt("k", 0), 1);
   EXPECT_EQ(A.getInt("positional", 9), 9);
 }
+
+TEST(ArgParseTest, RejectUnknownAcceptsFlagsThatWereRead) {
+  ArgParse A = parse({"--runs=2", "--verbose", "positional"});
+  EXPECT_EQ(A.getInt("runs", 1), 2);
+  EXPECT_TRUE(A.getBool("verbose", false));
+  EXPECT_EQ(A.getString("absent", "d"), "d");
+  // Every --flag was read and positionals are not flags: no exit.
+  A.rejectUnknown();
+}
+
+TEST(ArgParseDeathTest, RejectUnknownNamesEveryUnreadFlag) {
+  auto Check = [] {
+    ArgParse A = parse({"--runs=2", "--verbose-gc", "--trace=1"});
+    (void)A.getInt("runs", 1);
+    A.rejectUnknown();
+  };
+  EXPECT_EXIT(Check(), ::testing::ExitedWithCode(2),
+              "unknown flag: --trace\n.*unknown flag: --verbose-gc");
+}

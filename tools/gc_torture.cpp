@@ -238,13 +238,7 @@ GcConfig configForSeed(uint64_t Bits, const Options &Opt) {
   if (Cfg.Temperature && Cfg.ColdPage && ((Bits >> 7) & 1))
     Cfg.ColdReclaim = true;
   Cfg.SiteProfiling = Cfg.Hotness && ((Bits >> 8) & 1);
-  // Half the profiling seeds flip routes after only two cycles, so
-  // pretenured TLABs appear while the fault plan is still denying
-  // refills.
-  if (Cfg.SiteProfiling && ((Bits >> 9) & 1))
-    Cfg.SiteProfileCycles = 2;
   Cfg.TriggerFraction = 0.6;
-  Cfg.RelocReservePages = 4;
   Cfg.TraceEnabled = !Opt.TraceDir.empty();
   return Cfg;
 }
@@ -423,6 +417,7 @@ int main(int Argc, char **Argv) {
   Opt.TraceDir = Args.getString("trace-dir", "");
   Opt.Verbose = Args.getBool("verbose", false);
   const double Seconds = Args.getDouble("seconds", 0);
+  Args.rejectUnknown();
 
   Stopwatch Soak;
   auto MoreSeeds = [&](uint64_t I) {
