@@ -96,8 +96,14 @@ void timeConstruction(Mutator &M, int Depth) {
 int main(int Argc, char **Argv) {
   ArgParse Args(Argc, Argv);
   int MaxDepth = static_cast<int>(Args.getInt("max-depth", 14));
-  int ConfigId = static_cast<int>(Args.getInt("config", 16));
+  int64_t Id = Args.getInt("config", 16);
   Args.rejectUnknown();
+  if (!isConfigId(Id)) {
+    std::fprintf(stderr, "invalid value for --config: %lld (ids are 0-19 "
+                 "and 21)\n", static_cast<long long>(Id));
+    return 2;
+  }
+  int ConfigId = static_cast<int>(Id);
 
   GcConfig Cfg;
   Cfg.Geometry.SmallPageSize = 256 * 1024;

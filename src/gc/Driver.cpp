@@ -17,10 +17,6 @@
 #include <cassert>
 #include <chrono>
 
-#if __has_include(<sys/mman.h>)
-#include <sys/mman.h>
-#endif
-
 using namespace hcsgc;
 
 GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
@@ -48,8 +44,6 @@ GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
   Met.TempColdBytes = &MR.counter("temp.cold_bytes");
   Met.TempAgingWalks = &MR.counter("temp.aging_walks");
   Met.ColdRelocBytes = &MR.counter("coldpage.relocated_bytes");
-  Met.ColdMadviseCalls = &MR.counter("coldpage.madvise_calls");
-  Met.ColdMadviseBytes = &MR.counter("coldpage.madvise_bytes");
   Met.PauseUs = &MR.histogram("gc.pause_us");
   Met.HotRatioPct = &MR.histogram("gc.hot_ratio_pct");
   Met.RelocBytesPerCycle = &MR.histogram("gc.reloc_bytes_per_cycle");
@@ -292,63 +286,6 @@ void GcDriver::drainRelocationSet(EcSet &Ec, CycleRecord &Rec) {
   Rec.UsedAfterBytes = Heap.allocator().usedBytes();
 }
 
-void GcDriver::accumulateTemperatureTiers(uint64_t Cycle) {
-  uint64_t Tiers[Page::TempTiers] = {0, 0, 0, 0};
-  Heap.allocator().forEachActivePage([&](Page &P) {
-    if (!P.tracksTemperature())
-      return;
-    // Pages installed during this cycle have no trustworthy livemap yet
-    // (same filter the EC selector applies); leave their totals zeroed so
-    // the temperature WLB degrades to plain live bytes for them.
-    if (P.allocSeq() >= Cycle) {
-      P.accumulateTempTierBytes(); // zeroes stale totals
-      return;
-    }
-    P.accumulateTempTierBytes();
-    for (unsigned T = 0; T < Page::TempTiers; ++T)
-      Tiers[T] += P.tempTierBytes(T);
-  });
-  // Tier 2-3 objects were referenced recently enough to count as hot;
-  // tier 1 is cooling; tier 0 is the cold candidate mass.
-  Met.TempHotBytes->add(Tiers[2] + Tiers[3]);
-  Met.TempWarmBytes->add(Tiers[1]);
-  Met.TempColdBytes->add(Tiers[0]);
-}
-
-void GcDriver::coldReclaimPass(uint64_t Cycle) {
-  Heap.allocator().forEachActivePage([&](Page &P) {
-    // Adoption: a settled page whose whole live population proved cold
-    // joins the cold tier. All-cold pages keep WLB == live bytes
-    // (§3.1.3: nothing to excavate), so EC never re-selects them and
-    // relocation can never route their objects to a cold destination —
-    // without adoption their bytes would sit outside the reclaimable
-    // accounting forever. The tier totals are from this cycle's
-    // accumulate pass, so only pages that predate the cycle (and were
-    // not selected: still Active, not pinned) are judged.
-    if (P.tracksTemperature() && P.tier() != PageTier::Cold &&
-        P.state() == PageState::Active && !P.isPinnedAsTarget() &&
-        P.allocSeq() < Cycle && P.liveBytes() > 0 &&
-        P.provenColdBytes() == P.liveBytes())
-      Heap.allocator().notePageTier(&P, PageTier::Cold);
-  });
-  // Total cold-tier RSS the OS could drop without losing live data (the
-  // pages are live, MADV_COLD only deactivates them — never DONTNEED).
-  Met.ColdResidentBytes->record(Heap.allocator().coldPageBytes());
-  if (!Heap.config().ColdReclaim)
-    return;
-  Heap.allocator().forEachActivePage([&](Page &P) {
-    if (P.tier() != PageTier::Cold || P.isPinnedAsTarget() ||
-        P.madviseDone())
-      return;
-    P.setMadviseDone();
-    Met.ColdMadviseCalls->increment();
-    Met.ColdMadviseBytes->add(P.size());
-#ifdef MADV_COLD
-    ::madvise(reinterpret_cast<void *>(P.begin()), P.size(), MADV_COLD);
-#endif
-  });
-}
-
 void GcDriver::runCycle(bool Emergency) {
   using namespace std::chrono_literals;
   const GcConfig &Cfg = Heap.config();
@@ -489,15 +426,22 @@ void GcDriver::runCycle(bool Emergency) {
               static_cast<uint64_t>(GcPhase::Mark));
   HCSGC_INJECT_DELAY(PhaseDelay);
 
-  // With TEMPERATURE on, fold the final livemaps into per-tier byte
-  // totals now: both the AfterMark snapshot below and the EC selector
-  // read Page::tempTierBytes, so the accumulation must come first.
-  if (Cfg.Temperature)
-    accumulateTemperatureTiers(Rec.Cycle);
+  // The post-mark census: one walk reads every page's mark counters
+  // (and, under TEMPERATURE, folds its livemap into tier bytes). Both
+  // snapshots, EC selection and cold adoption below read its rows.
+  Heap.takeCensus(Rec.Cycle);
+  if (Cfg.Temperature) {
+    // Tier 2-3 objects were referenced recently enough to count as hot;
+    // tier 1 is cooling; tier 0 is the cold candidate mass.
+    const uint64_t *Tiers = Heap.census().TierBytes;
+    Met.TempHotBytes->add(Tiers[2] + Tiers[3]);
+    Met.TempWarmBytes->add(Tiers[1]);
+    Met.TempColdBytes->add(Tiers[0]);
+  }
 
   // Observatory capture point 1: livemaps/hotmaps are final, nothing has
   // been reclaimed or selected yet.
-  Heap.captureSnapshot(SnapshotPoint::AfterMark, Rec.Cycle, nullptr);
+  Heap.captureSnapshot(SnapshotPoint::AfterMark, nullptr);
 
   // Marking healed every reachable slot, so forwarding tables from the
   // previous cycle can never be consulted again: retire quarantined pages
@@ -516,11 +460,10 @@ void GcDriver::runCycle(bool Emergency) {
   Rec.LiveBytesMarked = Ec.LiveBytesTotal;
   Rec.HotBytesMarked = Ec.HotBytesTotal;
 
-  // Observatory capture point 2: selected pages are now RelocSource; the
-  // audit rides along. Taken before the auto-tuner moves the effective
-  // confidence so the snapshot's WLBs match the audit's.
-  Heap.captureSnapshot(SnapshotPoint::AfterEc, Rec.Cycle,
-                       WantAudit ? &Audit : nullptr);
+  // Observatory capture point 2: the census rows with EC's verdicts
+  // applied (selected pages are RelocSource, dead ones gone); the audit
+  // rides along.
+  Heap.captureSnapshot(SnapshotPoint::AfterEc, WantAudit ? &Audit : nullptr);
 
   // §4.8 feedback loop (future work in the paper, implemented here as an
   // optional knob): steer COLDCONFIDENCE toward the cold fraction of the
@@ -562,12 +505,15 @@ void GcDriver::runCycle(bool Emergency) {
     recordCycle(Rec);
   }
 
-  // Cold pages populated during RE (or by mutators, under LAZYRELOCATE)
-  // are stable until some future cycle routes their survivors elsewhere:
-  // account their resident bytes as reclaimable RSS and advise the
-  // kernel once per page.
-  if (Cfg.Temperature && Cfg.ColdPage)
-    coldReclaimPass(Rec.Cycle);
+  // Cold adoption: a settled page whose whole live population proved
+  // cold joins the cold tier unless EC just selected it. Then sample the
+  // cold-resident bytes: live data the OS could page out first.
+  if (Cfg.Temperature && Cfg.ColdPage) {
+    for (const CensusRow &Row : Heap.census().Rows)
+      if (Row.AdoptCold && Row.Verdict != EcVerdict::Selected)
+        Heap.allocator().notePageTier(Row.P, PageTier::Cold);
+    Met.ColdResidentBytes->record(Heap.allocator().coldPageBytes());
+  }
 
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::CycleEnd, ThisCycle);

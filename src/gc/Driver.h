@@ -97,20 +97,6 @@ private:
   void runCycle(bool Emergency);
   void drainRelocationSet(EcSet &Ec, CycleRecord &Rec);
 
-  /// Coordinator-only post-mark pass (TEMPERATURE): folds each tracked
-  /// small page's livemap into per-tier byte totals — the inputs both the
-  /// snapshot capture and the EC selector read — and publishes the
-  /// tier-summed totals to the temp.* counters.
-  void accumulateTemperatureTiers(uint64_t Cycle);
-
-  /// End-of-cycle cold-page pass: adopts settled pages whose whole live
-  /// population has proven cold into the cold tier (EC never re-selects
-  /// all-cold pages, so adoption is their only route into the
-  /// reclaimable set), records the reclaimable cold-resident RSS and,
-  /// when COLDRECLAIM is active, advises the kernel (or counts, in
-  /// Simulate mode) once per cold page.
-  void coldReclaimPass(uint64_t Cycle);
-
   /// Commits a finished cycle record: appends it to GcStats and folds it
   /// into the metrics registry (counters + pause/ratio histograms).
   void recordCycle(const CycleRecord &Rec);
@@ -187,8 +173,6 @@ private:
     Counter *TempColdBytes = nullptr;
     Counter *TempAgingWalks = nullptr;
     Counter *ColdRelocBytes = nullptr;
-    Counter *ColdMadviseCalls = nullptr;
-    Counter *ColdMadviseBytes = nullptr;
     Histogram *PauseUs = nullptr;
     Histogram *HotRatioPct = nullptr;
     Histogram *RelocBytesPerCycle = nullptr;

@@ -8,7 +8,6 @@
 #include "gc/EcSelector.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace hcsgc;
 
@@ -34,22 +33,9 @@ double hcsgc::reclamationDemand(size_t UsedBytes, size_t QuarantinedBytes,
 
 namespace {
 struct Candidate {
-  Page *P;
+  CensusRow *Row;
   double Weight;
-  uint64_t Live; ///< liveBytes() as read during the walk (audit-stable).
 };
-
-SnapSizeClass snapClassOf(PageSizeClass C) {
-  switch (C) {
-  case PageSizeClass::Small:
-    return SnapSizeClass::Small;
-  case PageSizeClass::Medium:
-    return SnapSizeClass::Medium;
-  case PageSizeClass::Large:
-    return SnapSizeClass::Large;
-  }
-  return SnapSizeClass::Large;
-}
 } // namespace
 
 /// Sorts candidates ascending by weight and selects the maximal prefix
@@ -65,7 +51,7 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
             [](const Candidate &A, const Candidate &B) {
               if (A.Weight != B.Weight)
                 return A.Weight < B.Weight;
-              return A.P->begin() < B.P->begin();
+              return A.Row->Rec.PageBegin < B.Row->Rec.PageBegin;
             });
   double Sum = 0.0, Freed = 0.0;
   for (const Candidate &C : Cands) {
@@ -74,84 +60,69 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
     if (!WithinBudget && !NeedMemory)
       break;
     Sum += C.Weight;
-    // C.Live (not a re-read of liveBytes()) so the audited replay, which
-    // only has the recorded value, performs identical arithmetic.
-    Freed += static_cast<double>(C.P->size()) -
-             static_cast<double>(C.Live);
+    // The census values (what the audit records), so the replay performs
+    // identical arithmetic.
+    Freed += static_cast<double>(C.Row->Rec.PageSize) -
+             static_cast<double>(C.Row->Rec.LiveBytes);
     Out.push_back(C);
     ++Count;
   }
+}
+
+/// \returns the audit record of a row EC selection judged: the inputs it
+/// read and its verdict. Tier bytes are an input only for small
+/// candidates (not pinned, not dead) under TEMPERATURE.
+static EcAuditEntry auditEntryOf(const CensusRow &Row, bool Temperature) {
+  const PageRecord &R = Row.Rec;
+  EcAuditEntry E;
+  E.PageBegin = R.PageBegin;
+  E.PageSize = R.PageSize;
+  E.LiveBytes = R.LiveBytes;
+  E.HotBytes = R.HotBytes;
+  E.Weight = Row.Weight;
+  if (Temperature && R.SizeClass == SnapSizeClass::Small && !R.Pinned &&
+      R.LiveBytes > 0)
+    for (unsigned T = 0; T < SnapTempTiers; ++T)
+      E.TempBytes[T] = R.TempBytes[T];
+  E.SizeClass = R.SizeClass;
+  E.Pinned = R.Pinned;
+  E.Verdict = Row.Verdict;
+  return E;
 }
 
 EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
                                         EcAudit *Audit) {
   const GcConfig &Cfg = Heap.config();
   const HeapGeometry &Geo = Cfg.Geometry;
-  // Read the confidence once: the auto-tuner can move it between cycles,
-  // and every weight this selection computes (and the audit records) must
-  // use the same value so the offline replay is bit-exact.
-  const double EffCc = Heap.effectiveColdConfidence();
+  PageCensus &Census = Heap.census();
+  // The census read the confidence once: the auto-tuner can move it
+  // between cycles, and every weight this selection computes (and the
+  // audit records) must use the same value so the offline replay is
+  // bit-exact.
+  const double EffCc = Census.ColdConfidence;
   EcSet Ec;
-  Ec.Cycle = Heap.currentCycle();
+  Ec.Cycle = Census.Cycle;
 
   HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
               TraceEventKind::PhaseBegin, Ec.Cycle,
               static_cast<uint64_t>(GcPhase::EcSelect),
               traceBitsFromDouble(EffCc), Cfg.Hotness ? 1 : 0);
 
-  if (Audit) {
-    Audit->Cycle = Ec.Cycle;
-    Audit->ColdConfidence = EffCc;
-    Audit->EvacLiveThreshold = Cfg.EvacLiveThreshold;
-    Audit->Hotness = Cfg.Hotness ? 1 : 0;
-    Audit->RelocateAll = Cfg.RelocateAllSmallPages ? 1 : 0;
-    Audit->Temperature = Cfg.Temperature ? 1 : 0;
-    Audit->Entries.clear();
-  }
-  // Page begin -> index into Audit->Entries, to flip the verdict of the
-  // candidates that make it through selectPrefix to Selected at the end.
-  std::unordered_map<uint64_t, size_t> AuditIndex;
-  auto note = [&](const Page &P, uint64_t Live, uint64_t Hot, double W,
-                  EcVerdict V, const uint64_t *TB = nullptr) {
-    if (!Audit)
-      return;
-    AuditIndex[P.begin()] = Audit->Entries.size();
-    EcAuditEntry E;
-    E.PageBegin = P.begin();
-    E.PageSize = P.size();
-    E.LiveBytes = Live;
-    E.HotBytes = Hot;
-    E.Weight = W;
-    if (TB)
-      for (unsigned T = 0; T < SnapTempTiers; ++T)
-        E.TempBytes[T] = TB[T];
-    E.SizeClass = snapClassOf(P.sizeClass());
-    E.Pinned = static_cast<uint8_t>(P.isPinnedAsTarget());
-    E.Verdict = V;
-    Audit->Entries.push_back(E);
-  };
-
   std::vector<Candidate> Small, Medium;
-  std::vector<Page *> Dead;
 
-  // Iterates the allocator's page registries directly — the same in-place
-  // view the driver's hotmap-reset pass used at the start of this cycle,
-  // with no snapshot vector copied under a lock. Pages installed during
-  // the walk may or may not be visited; either way the allocSeq filter
-  // below excludes them, so the selection sees one consistent pre-STW1
-  // page population.
-  Heap.allocator().forEachActivePage([&](Page &Pg) {
-    Page *P = &Pg;
+  for (CensusRow &Row : Census.Rows) {
+    const PageRecord &R = Row.Rec;
     // Only pages allocated prior to STW1 have trustworthy liveness info
     // (§2.2: "all small pages that are allocated prior to STW1").
-    if (P->allocSeq() >= Ec.Cycle)
-      return;
-    // Read the mark counters once: every decision (and the audit record)
-    // below must be a function of these exact values.
-    const uint64_t Live = P->liveBytes();
-    const uint64_t Hot = P->hotBytes();
+    if (R.AllocSeq >= Ec.Cycle)
+      continue;
+    // Every decision (and the audit record) below is a function of the
+    // mark counters exactly as the census read them.
+    const uint64_t Live = R.LiveBytes;
+    const uint64_t Hot = R.HotBytes;
     Ec.LiveBytesTotal += Live;
     Ec.HotBytesTotal += Hot;
+    Row.Weight = 0.0;
 
     // A pinned pre-STW1 page is an in-use bump-allocation target that
     // survived resetAllocTargets — today that is exactly the persistent
@@ -162,60 +133,57 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
     // dead-page fast path: its liveBytes() can read 0 while a mutator
     // is about to bump into it. The audit records the pin, and the
     // offline replay skips pinned entries the same way.
-    if (P->isPinnedAsTarget()) {
-      note(*P, Live, Hot, 0.0, EcVerdict::PinnedSkipped);
-      return;
+    if (R.Pinned) {
+      Row.Verdict = EcVerdict::PinnedSkipped;
+      continue;
     }
 
     if (Live == 0) {
       // Nothing on the page is reachable; reclaim without relocation.
       // This covers large pages too ("we can decide whether that large
       // page should be kept or reclaimed right away", §2.2).
-      note(*P, Live, Hot, 0.0, EcVerdict::DeadReclaimed);
-      Dead.push_back(P);
-      return;
+      Row.Verdict = EcVerdict::DeadReclaimed;
+      ++Ec.EmptyReclaimed;
+      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
+                  TraceEventKind::EcPageReclaimed, Ec.Cycle, R.PageBegin,
+                  R.PageSize);
+      Heap.allocator().releasePage(Row.P);
+      Row.P = nullptr;
+      continue;
     }
 
-    switch (P->sizeClass()) {
-    case PageSizeClass::Small: {
-      // Per-tier byte totals were accumulated by the driver's post-mark
-      // coordinator pass; read them once so the audit records exactly the
-      // selector's inputs (a non-tracking page reads all zeros, which
-      // wlbTempFormula maps to plain live bytes — same as the replay).
-      uint64_t TB[SnapTempTiers] = {0, 0, 0, 0};
-      if (Cfg.Temperature)
-        for (unsigned T = 0; T < SnapTempTiers; ++T)
-          TB[T] = P->tempTierBytes(T);
-      // One weight per page: the considered and selected events carry
-      // the same value the threshold and budget tests use.
+    switch (R.SizeClass) {
+    case SnapSizeClass::Small: {
+      // The census folded the tier bytes (all zeros without TEMPERATURE
+      // or on a non-tracking page, which wlbTempFormula maps to plain
+      // live bytes — same as the replay). One weight per page: the
+      // considered and selected events carry the same value the
+      // threshold and budget tests use.
       double W = Cfg.Temperature
-                     ? wlbTempFormula(Live, TB, Cfg.Hotness, EffCc)
+                     ? wlbTempFormula(Live, R.TempBytes, Cfg.Hotness, EffCc)
                      : wlbFormula(Live, Hot, Cfg.Hotness, EffCc);
       HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                  TraceEventKind::EcPageConsidered, Ec.Cycle, P->begin(),
+                  TraceEventKind::EcPageConsidered, Ec.Cycle, R.PageBegin,
                   Live, Hot, traceBitsFromDouble(W));
       if (Cfg.RelocateAllSmallPages) {
         // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
         // Candidates start as RejectedBudget and flip to Selected below;
         // under RELOCATEALLSMALLPAGES everything flips. The audit records
         // weight 0: no decision read it.
-        note(*P, Live, Hot, 0.0, EcVerdict::RejectedBudget,
-             Cfg.Temperature ? TB : nullptr);
-        Small.push_back({P, W, Live});
+        Row.Verdict = EcVerdict::RejectedBudget;
+        Small.push_back({&Row, W});
         break;
       }
-      double Ratio = W / static_cast<double>(P->size());
-      if (Ratio <= Cfg.EvacLiveThreshold) {
-        note(*P, Live, Hot, W, EcVerdict::RejectedBudget,
-             Cfg.Temperature ? TB : nullptr);
-        Small.push_back({P, W, Live});
+      Row.Weight = W;
+      if (W / static_cast<double>(R.PageSize) <= Cfg.EvacLiveThreshold) {
+        Row.Verdict = EcVerdict::RejectedBudget;
+        Small.push_back({&Row, W});
       } else {
-        note(*P, Live, Hot, W, EcVerdict::RejectedThreshold,
-             Cfg.Temperature ? TB : nullptr);
+        Row.Verdict = EcVerdict::RejectedThreshold;
       }
       break;
     }
-    case PageSizeClass::Medium: {
+    case SnapSizeClass::Medium: {
       // Medium pages keep the original ZGC criteria (§3.4). No candidate
       // can be an in-use bump target: a live per-thread medium TLAB from
       // this cycle was filtered by allocSeq above, pre-cycle TLABs were
@@ -223,27 +191,20 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       // pretenure TLAB, always a small page) was skipped by the pin
       // check above.
       double W = static_cast<double>(Live);
-      if (W / static_cast<double>(P->size()) <= Cfg.EvacLiveThreshold) {
-        note(*P, Live, Hot, W, EcVerdict::RejectedBudget);
-        Medium.push_back({P, W, Live});
+      Row.Weight = W;
+      if (W / static_cast<double>(R.PageSize) <= Cfg.EvacLiveThreshold) {
+        Row.Verdict = EcVerdict::RejectedBudget;
+        Medium.push_back({&Row, W});
       } else {
-        note(*P, Live, Hot, W, EcVerdict::RejectedThreshold);
+        Row.Verdict = EcVerdict::RejectedThreshold;
       }
       break;
     }
-    case PageSizeClass::Large:
-      note(*P, Live, Hot, static_cast<double>(Live),
-           EcVerdict::LargeIgnored);
+    case SnapSizeClass::Large:
+      Row.Weight = static_cast<double>(Live);
+      Row.Verdict = EcVerdict::LargeIgnored;
       break; // Live large pages are never relocated.
     }
-  });
-
-  for (Page *P : Dead) {
-    ++Ec.EmptyReclaimed;
-    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                TraceEventKind::EcPageReclaimed, Ec.Cycle, P->begin(),
-                P->size());
-    Heap.allocator().releasePage(P);
   }
 
   // Reclamation demand: bring usage back under the trigger threshold
@@ -271,28 +232,37 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
                         Cfg.EvacBudgetPages;
   selectPrefix(Medium, MediumBudget, 0.0, Selected, Ec.MediumCount);
 
+  // Install forwarding tables; mutators begin relocating these pages only
+  // after STW3 flips the good color to R. The row takes the page's new
+  // state, as the AfterEc snapshot records it.
+  for (const Candidate &C : Selected) {
+    CensusRow &Row = *C.Row;
+    Row.Verdict = EcVerdict::Selected;
+    Row.Rec.State = SnapPageState::RelocSource;
+    Row.Rec.EcSelected = 1;
+    Row.Rec.RelocOutBytesGc = Row.Rec.RelocOutBytesMutator = 0;
+    Ec.Pages.push_back(Row.P);
+    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
+                TraceEventKind::EcPageSelected, Ec.Cycle, Row.Rec.PageBegin,
+                Row.Rec.LiveBytes, Row.Rec.HotBytes,
+                traceBitsFromDouble(C.Weight));
+    Row.P->beginEvacuation();
+  }
+
   if (Audit) {
+    Audit->Cycle = Ec.Cycle;
+    Audit->ColdConfidence = EffCc;
+    Audit->EvacLiveThreshold = Cfg.EvacLiveThreshold;
     Audit->BudgetSmall = SmallBudget;
     Audit->BudgetMedium = MediumBudget;
     Audit->RequiredFree = RequiredFree;
-  }
-
-  // Install forwarding tables; mutators begin relocating these pages only
-  // after STW3 flips the good color to R.
-  for (const Candidate &C : Selected) {
-    Page *P = C.P;
-    Ec.Pages.push_back(P);
-    if (Audit) {
-      auto It = AuditIndex.find(P->begin());
-      assert(It != AuditIndex.end() &&
-             "selected page missing from EC audit");
-      if (It != AuditIndex.end())
-        Audit->Entries[It->second].Verdict = EcVerdict::Selected;
-    }
-    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                TraceEventKind::EcPageSelected, Ec.Cycle, P->begin(),
-                P->liveBytes(), P->hotBytes(), traceBitsFromDouble(C.Weight));
-    P->beginEvacuation();
+    Audit->Hotness = Cfg.Hotness ? 1 : 0;
+    Audit->RelocateAll = Cfg.RelocateAllSmallPages ? 1 : 0;
+    Audit->Temperature = Cfg.Temperature ? 1 : 0;
+    Audit->Entries.clear();
+    for (const CensusRow &Row : Census.Rows)
+      if (Row.Rec.AllocSeq < Ec.Cycle)
+        Audit->Entries.push_back(auditEntryOf(Row, Cfg.Temperature));
   }
 
   HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,

@@ -60,14 +60,16 @@ double weightedLiveBytes(const Page &P, const GcConfig &Cfg);
 double reclamationDemand(size_t UsedBytes, size_t QuarantinedBytes,
                          size_t MaxHeapBytes, double TriggerFraction);
 
-/// Runs EC selection over all eligible pages, installs forwarding tables
-/// on the selected ones (transitioning them to RelocSource), and releases
-/// dead pages outright. \p Ctx is the calling thread's context (the cycle
-/// coordinator in production); selection decisions are traced through it,
-/// including the per-page WLB inputs the invariant tests check.
+/// Runs EC selection over the rows of this cycle's page census
+/// (GcHeap::takeCensus) whose pages predate the cycle, writes each row's
+/// verdict, installs forwarding tables on the selected pages
+/// (transitioning them to RelocSource), and releases dead pages outright.
+/// \p Ctx is the calling thread's context (the cycle coordinator in
+/// production); selection decisions are traced through it, including
+/// the per-page WLB inputs the invariant tests check.
 ///
 /// When \p Audit is non-null the selector additionally records, per
-/// considered page, the exact WLB inputs it read and the accept/reject
+/// considered row, the exact WLB inputs it read and the accept/reject
 /// verdict, plus the knob values and budgets in force — enough for
 /// observe's replayEcSelection to re-run the decision offline and prove
 /// the §3.1.3 formula was honored (heapscope --replay, the snapshot

@@ -64,14 +64,11 @@ struct GcConfig {
   /// temperature that decays across cycles instead of being zeroed.
   /// EC selection then weights bytes by tier confidence
   /// (WLB = sum w(temp)*bytes) and relocation routes survivors into
-  /// hot/warm/cold destination tiers. Requires HOTNESS.
+  /// hot/warm/cold destination tiers. A survivor is "proven cold" after
+  /// Page::ProvenColdStreak consecutive aging walks at temperature 0;
+  /// with COLDPAGE, a page whose whole live population proved cold joins
+  /// the cold tier. Requires HOTNESS.
   bool Temperature = false;
-  /// End-of-cycle cold-reclaim pass: issue madvise(MADV_COLD) once per
-  /// settled cold-tier page and count it in coldpage.madvise_*. Never
-  /// MADV_DONTNEED: cold pages hold live data, only its hotness is low.
-  /// Requires Temperature && ColdPage. A survivor is "proven cold" after
-  /// Page::ProvenColdStreak consecutive aging walks at temperature 0.
-  bool ColdReclaim = false;
 
   // --- Allocation-site profiling & pretenuring (INTERNALS §13) -----------
   /// Carry caller-supplied allocation-site IDs through the allocation
@@ -140,15 +137,12 @@ struct GcConfig {
   /// as JSONL (one capture per line; see tools/heapscope).
   std::string SnapshotLogPath;
 
-  /// \returns true if knob dependencies hold (COLDPAGE, COLDCONFIDENCE
-  /// and TEMPERATURE require HOTNESS, §4.1; cold reclaim additionally
-  /// requires TEMPERATURE + COLDPAGE so "proven cold" routing exists).
+  /// \returns true if knob dependencies hold (COLDPAGE, COLDCONFIDENCE,
+  /// TEMPERATURE and SITEPROFILING require HOTNESS, §4.1).
   bool knobsValid() const {
     if (!Hotness && (ColdPage || ColdConfidence != 0.0 ||
                      AutoTuneColdConfidence || Temperature ||
                      SiteProfiling))
-      return false;
-    if (ColdReclaim && !(Temperature && ColdPage))
       return false;
     return ColdConfidence >= 0.0 && ColdConfidence <= 1.0;
   }

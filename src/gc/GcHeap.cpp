@@ -36,8 +36,7 @@ GcHeap::GcHeap(const GcConfig &C)
       Trace(C.TraceBufferEvents) {
   if (!Cfg.knobsValid())
     fatalError("invalid knob combination: COLDPAGE/COLDCONFIDENCE/"
-               "TEMPERATURE require HOTNESS, cold reclaim requires "
-               "TEMPERATURE+COLDPAGE");
+               "TEMPERATURE require HOTNESS");
   // The window before the first cycle behaves like a relocation window
   // with an empty EC: the good color starts as R (Fig. 2).
   EffectiveColdConf.store(Cfg.ColdConfidence, std::memory_order_relaxed);
@@ -73,22 +72,25 @@ GcHeap::GcHeap(const GcConfig &C)
   }
 }
 
-void GcHeap::captureSnapshot(SnapshotPoint Point, uint64_t SnapCycle,
-                             const EcAudit *Audit) {
-  if (!Snap.enabled())
-    return;
-  CycleSnapshot S;
-  S.Cycle = SnapCycle;
-  S.Point = Point;
-  S.TimeNs = Trace.nowNs();
-  S.ColdConfidence = effectiveColdConfidence();
-  S.Hotness = Cfg.Hotness ? 1 : 0;
-  S.Temperature = Cfg.Temperature ? 1 : 0;
-  // Lock-free registry walk — the same iteration EC selection uses. Pages
-  // installed concurrently may be missed; that is fine, a snapshot is a
-  // point-in-time sample, not an exhaustive ledger.
+void GcHeap::takeCensus(uint64_t CensusCycle) {
+  static_assert(Page::TempTiers == SnapTempTiers &&
+                    static_cast<int>(PageSizeClass::Large) ==
+                        static_cast<int>(SnapSizeClass::Large) &&
+                    static_cast<int>(PageState::Quarantined) ==
+                        static_cast<int>(SnapPageState::Quarantined),
+                "census rows mirror Page values in PageRecord");
+  Census.Cycle = CensusCycle;
+  Census.ColdConfidence = effectiveColdConfidence();
+  for (uint64_t &B : Census.TierBytes)
+    B = 0;
+  Census.Rows.clear();
+  // Pages installed concurrently may be missed: they were allocated this
+  // cycle, which EC selection and adoption exclude anyway, and a
+  // snapshot is a point-in-time sample, not an exhaustive ledger.
   Alloc.forEachActivePage([&](Page &P) {
-    PageRecord R;
+    CensusRow &Row = Census.Rows.emplace_back();
+    Row.P = &P;
+    PageRecord &R = Row.Rec;
     R.PageBegin = P.begin();
     R.PageSize = P.size();
     R.UsedBytes = P.used();
@@ -98,41 +100,48 @@ void GcHeap::captureSnapshot(SnapshotPoint Point, uint64_t SnapCycle,
     R.RelocOutBytesGc = P.relocOutBytesGc();
     R.RelocOutBytesMutator = P.relocOutBytesMutator();
     R.Tier = static_cast<uint8_t>(P.tier());
+    // The snapshot enums mirror the heap's value for value (asserted
+    // above); the observe layer cannot include heap headers.
+    R.SizeClass = static_cast<SnapSizeClass>(P.sizeClass());
+    R.State = static_cast<SnapPageState>(P.state());
+    R.Pinned = P.isPinnedAsTarget() ? 1 : 0;
+    R.EcSelected = R.State == SnapPageState::RelocSource ? 1 : 0;
+    const bool Settled = R.AllocSeq < CensusCycle;
     if (Cfg.Temperature && P.tracksTemperature()) {
-      for (unsigned T = 0; T < Page::TempTiers; ++T)
-        R.TempBytes[T] = P.tempTierBytes(T);
+      uint64_t ProvenCold;
+      P.accumulateTempTierBytes(R.TempBytes, ProvenCold);
       R.Wlb = wlbTempFormula(R.LiveBytes, R.TempBytes, Cfg.Hotness,
-                             S.ColdConfidence);
+                             Census.ColdConfidence);
+      if (Settled)
+        for (unsigned T = 0; T < Page::TempTiers; ++T)
+          Census.TierBytes[T] += R.TempBytes[T];
+      // Adoption: all-cold pages keep WLB == live bytes (§3.1.3: nothing
+      // to excavate), so EC never re-selects them and relocation never
+      // routes their objects to a cold destination; without adoption
+      // their bytes would sit outside the cold-resident accounting.
+      Row.AdoptCold = Settled && P.tier() != PageTier::Cold &&
+                      R.State == SnapPageState::Active && !R.Pinned &&
+                      R.LiveBytes > 0 && ProvenCold == R.LiveBytes;
     } else {
       R.Wlb = wlbFormula(R.LiveBytes, R.HotBytes, Cfg.Hotness,
-                         S.ColdConfidence);
+                         Census.ColdConfidence);
     }
-    switch (P.sizeClass()) {
-    case PageSizeClass::Small:
-      R.SizeClass = SnapSizeClass::Small;
-      break;
-    case PageSizeClass::Medium:
-      R.SizeClass = SnapSizeClass::Medium;
-      break;
-    case PageSizeClass::Large:
-      R.SizeClass = SnapSizeClass::Large;
-      break;
-    }
-    switch (P.state()) {
-    case PageState::Active:
-      R.State = SnapPageState::Active;
-      break;
-    case PageState::RelocSource:
-      R.State = SnapPageState::RelocSource;
-      break;
-    case PageState::Quarantined:
-      R.State = SnapPageState::Quarantined;
-      break;
-    }
-    R.Pinned = P.isPinnedAsTarget() ? 1 : 0;
-    R.EcSelected = P.state() == PageState::RelocSource ? 1 : 0;
-    S.Pages.push_back(R);
   });
+}
+
+void GcHeap::captureSnapshot(SnapshotPoint Point, const EcAudit *Audit) {
+  if (!Snap.enabled())
+    return;
+  CycleSnapshot S;
+  S.Cycle = Census.Cycle;
+  S.Point = Point;
+  S.TimeNs = Trace.nowNs();
+  S.ColdConfidence = Census.ColdConfidence;
+  S.Hotness = Cfg.Hotness ? 1 : 0;
+  S.Temperature = Cfg.Temperature ? 1 : 0;
+  for (const CensusRow &Row : Census.Rows)
+    if (Row.P)
+      S.Pages.push_back(Row.Rec);
   std::sort(S.Pages.begin(), S.Pages.end(),
             [](const PageRecord &A, const PageRecord &B) {
               return A.PageBegin < B.PageBegin;

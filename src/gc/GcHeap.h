@@ -173,6 +173,36 @@ private:
   uint64_t ReportedEvents = 0;
 };
 
+/// One active page as the post-mark census read it (INTERNALS §12).
+struct CensusRow {
+  /// The page; null once EC selection has released it as dead.
+  Page *P = nullptr;
+  /// What the snapshots record: live/hot/tier bytes, WLB, state, pin.
+  /// EC selection applies its verdict (RelocSource, EC-selected), so the
+  /// AfterEc snapshot needs no second walk.
+  PageRecord Rec;
+  /// EC selection's verdict and the weight its audit records; set only
+  /// on rows whose page predates the cycle (Rec.AllocSeq < cycle).
+  EcVerdict Verdict = EcVerdict::RejectedThreshold;
+  double Weight = 0.0;
+  /// Settled page whose whole live population has proven cold: it joins
+  /// the cold tier unless EC selects it.
+  bool AdoptCold = false;
+};
+
+/// The per-cycle page table one post-mark walk fills; reused across
+/// cycles. The snapshots, EC selection and cold adoption read it instead
+/// of walking the heap again.
+struct PageCensus {
+  uint64_t Cycle = 0;
+  /// Effective COLDCONFIDENCE the row WLBs were computed under.
+  double ColdConfidence = 0.0;
+  /// Per-tier live bytes summed over the pages that predate the cycle
+  /// (TEMPERATURE only, else zeros).
+  uint64_t TierBytes[Page::TempTiers] = {0, 0, 0, 0};
+  std::vector<CensusRow> Rows;
+};
+
 /// Shared collector state.
 class GcHeap {
 public:
@@ -215,15 +245,19 @@ public:
     Ctx.MarkPrefetchPending = 0;
   }
 
-  /// Captures one per-page heap snapshot at a cycle boundary (\p Point)
-  /// and commits it to the snapshotter's ring / JSONL stream. Walks the
-  /// allocator's lock-free active-page registries — no shard lock is
-  /// acquired (asserted by SnapshotInvariantTest via the
-  /// alloc.shard.lock_acquisitions metric). No-op unless snapshot
-  /// logging is armed. \p Audit, when non-null, is the EC decision audit
-  /// from this cycle's selection and is attached to the snapshot.
-  void captureSnapshot(SnapshotPoint Point, uint64_t SnapCycle,
-                       const EcAudit *Audit);
+  /// Coordinator-only, after mark termination: walks the allocator's
+  /// lock-free active-page registries once and refills the census for
+  /// \p CensusCycle (no shard lock is taken, asserted by
+  /// SnapshotInvariantTest via alloc.shard.lock_acquisitions). Under
+  /// TEMPERATURE the walk also folds each page's livemap into tier bytes.
+  void takeCensus(uint64_t CensusCycle);
+  PageCensus &census() { return Census; }
+
+  /// Commits the census rows as one heap snapshot at \p Point to the
+  /// snapshotter's ring / JSONL stream, leaving out pages EC released.
+  /// No-op unless snapshot logging is armed. \p Audit, when non-null, is
+  /// the EC decision audit from this cycle's selection.
+  void captureSnapshot(SnapshotPoint Point, const EcAudit *Audit);
 
   // --- Colors and phase ----------------------------------------------------
 
@@ -391,6 +425,7 @@ private:
   TraceSession Trace;
   MetricsRegistry Metrics;
   HeapSnapshotter Snap;
+  PageCensus Census;
   std::unique_ptr<SiteProfileTable> Sites;
 };
 

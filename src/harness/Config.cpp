@@ -42,23 +42,17 @@ KnobConfig hcsgc::table2Config(int Id) {
       {1, 1, 0.0, 1, 1}, // 18
   };
   // Extensions beyond the paper's table: 19 = config 16 with the 2-bit
-  // temperature counters on, 20 = 19 with the cold-page reclaim pass.
-  if (Id == 19 || Id == 20) {
+  // temperature counters on, 21 = 19 plus allocation-site profiling with
+  // pretenuring.
+  if (Id == 19 || Id == 21) {
     KnobConfig K = table2Config(16);
     K.Id = Id;
     K.Temperature = true;
-    K.ColdReclaim = Id == 20;
+    K.SiteProfile = Id == 21;
     return K;
   }
-  // 21/22 = 19/20 plus allocation-site profiling with pretenuring.
-  if (Id == 21 || Id == 22) {
-    KnobConfig K = table2Config(Id - 2);
-    K.Id = Id;
-    K.SiteProfile = true;
-    return K;
-  }
-  if (Id < 0 || Id > 18)
-    fatalError("Table 2 config id out of range (0-22)");
+  if (!isConfigId(Id))
+    fatalError("Table 2 config id out of range (0-19, 21)");
   KnobConfig K;
   K.Id = Id;
   K.Hotness = Rows[Id].H;
@@ -83,7 +77,6 @@ GcConfig hcsgc::applyKnobs(GcConfig Base, const KnobConfig &Knobs) {
   Base.RelocateAllSmallPages = Knobs.RelocateAllSmallPages;
   Base.LazyRelocate = Knobs.LazyRelocate;
   Base.Temperature = Knobs.Temperature;
-  Base.ColdReclaim = Knobs.ColdReclaim;
   Base.SiteProfiling = Knobs.SiteProfile;
   return Base;
 }
@@ -100,7 +93,7 @@ std::string hcsgc::describeConfig(const KnobConfig &Knobs) {
   // Extension suffixes — only the new ids carry them, so the paper
   // configs keep their exact Table 2 labels.
   if (Knobs.Temperature)
-    S += Knobs.ColdReclaim ? " T1 CR1" : " T1";
+    S += " T1";
   if (Knobs.SiteProfile)
     S += " SP1";
   return S;

@@ -17,13 +17,14 @@
 
 #include "gc/GcConfig.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace hcsgc {
 
-/// One Table 2 column (Temperature / ColdReclaim / SiteProfile are
-/// extensions beyond the paper's table — ids 19-22 below).
+/// One Table 2 column (Temperature / SiteProfile are extensions beyond
+/// the paper's table — ids 19 and 21 below).
 struct KnobConfig {
   int Id = 0;
   bool Hotness = false;
@@ -32,18 +33,24 @@ struct KnobConfig {
   bool RelocateAllSmallPages = false;
   bool LazyRelocate = false;
   bool Temperature = false;
-  bool ColdReclaim = false;
   bool SiteProfile = false;
 };
 
-/// Highest id table2Config accepts (19-22 are the extensions).
-constexpr int MaxConfigId = 22;
+/// Highest id table2Config accepts (19 and 21 are the extensions).
+constexpr int MaxConfigId = 21;
+
+/// \returns true if table2Config accepts \p Id. Ids 20 and 22 are
+/// retired: they were 19 and 21 plus a cold-page madvise pass with no
+/// observable effect, since removed. 21 keeps its number so existing
+/// logs and workload labels stay valid.
+constexpr bool isConfigId(int64_t Id) {
+  return Id >= 0 && Id <= MaxConfigId && Id != 20;
+}
 
 /// \returns the Table 2 configuration with the given \p Id (0-18), or
 /// one of the extensions: 19 is config 16 plus the 2-bit temperature
-/// counters, 20 additionally runs the cold-page reclaim pass; 21 and 22 add
-/// allocation-site profiling with pretenuring on top of 19 and 20
-/// respectively.
+/// counters, 21 adds allocation-site profiling with pretenuring on top
+/// of 19.
 KnobConfig table2Config(int Id);
 
 /// \returns all 19 configurations in order.

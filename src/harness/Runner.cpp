@@ -169,12 +169,13 @@ ExperimentResult hcsgc::runExperiment(const ExperimentSpec &Spec) {
 void hcsgc::applyCommonFlags(const ArgParse &Args, ExperimentSpec &Spec) {
   if (Args.getBool("list-configs", false)) {
     // Every bench shares this flag, so the config catalog is always one
-    // `<bench> --list-configs` away. 0-18 are Table 2; 19-22 are the
+    // `<bench> --list-configs` away. 0-18 are Table 2; 19 and 21 are the
     // temperature / site-profiling extensions.
     std::printf("%-4s %s\n", "id", "config");
     for (int Id = 0; Id <= MaxConfigId; ++Id)
-      std::printf("%-4d %s\n", Id,
-                  describeConfig(table2Config(Id)).c_str());
+      if (isConfigId(Id))
+        std::printf("%-4d %s\n", Id,
+                    describeConfig(table2Config(Id)).c_str());
     std::exit(0);
   }
   Spec.Runs = static_cast<unsigned>(Args.getInt("runs", Spec.Runs));
@@ -187,11 +188,11 @@ void hcsgc::applyCommonFlags(const ArgParse &Args, ExperimentSpec &Spec) {
       if (Tok.empty())
         continue;
       int64_t Id = ArgParse::parseInt("configs", Tok);
-      if (Id < 0 || Id > MaxConfigId) {
+      if (!isConfigId(Id)) {
         std::fprintf(stderr,
-                     "invalid value for --configs: %s (ids are 0-%d, see "
-                     "--list-configs)\n",
-                     Tok.c_str(), MaxConfigId);
+                     "invalid value for --configs: %s (ids are 0-19 and "
+                     "21, see --list-configs)\n",
+                     Tok.c_str());
         std::exit(2);
       }
       Spec.Configs.push_back(static_cast<int>(Id));
@@ -199,9 +200,11 @@ void hcsgc::applyCommonFlags(const ArgParse &Args, ExperimentSpec &Spec) {
   }
   int64_t HeapMb = Args.getInt("heap-mb", 0);
   if (HeapMb > 0) {
-    GcConfig Fresh = benchBaseConfig(static_cast<size_t>(HeapMb));
-    Fresh.GcWorkers = Spec.BaseConfig.GcWorkers;
-    Spec.BaseConfig = Fresh;
+    // Only what benchBaseConfig derives from the heap size changes; the
+    // bench's own trigger, caches and workers stay as it set them.
+    GcConfig Sized = benchBaseConfig(static_cast<size_t>(HeapMb));
+    Spec.BaseConfig.MaxHeapBytes = Sized.MaxHeapBytes;
+    Spec.BaseConfig.EvacBudgetPages = Sized.EvacBudgetPages;
   }
   Spec.BaseConfig.GcWorkers = static_cast<unsigned>(
       Args.getInt("workers", Spec.BaseConfig.GcWorkers));

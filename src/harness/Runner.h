@@ -110,9 +110,11 @@ ExperimentResult runExperiment(const ExperimentSpec &Spec);
 GcConfig benchBaseConfig(size_t MaxHeapMb);
 
 /// Parses the common bench flags (--runs, --configs=0,1,2, --heap-mb,
-/// --workers, --snapshot-log=<base>) into \p Spec. --list-configs
-/// prints the id/label table of every known configuration (0-22) and
-/// exits, so any bench doubles as the catalog.
+/// --workers, --trigger, --hysteresis, --snapshot-log=<base>) into
+/// \p Spec. --heap-mb changes only the heap size and the evacuation
+/// budget benchBaseConfig derives from it. --list-configs prints the
+/// id/label table of every known configuration (0-19, 21) and exits, so
+/// any bench doubles as the catalog.
 class ArgParse;
 void applyCommonFlags(const ArgParse &Args, ExperimentSpec &Spec);
 

@@ -174,19 +174,20 @@ void Page::ageTemperature() {
   }
 }
 
-void Page::accumulateTempTierBytes() {
-  for (uint64_t &B : TempTierBytes)
+void Page::accumulateTempTierBytes(uint64_t (&Tiers)[TempTiers],
+                                   uint64_t &ProvenCold) const {
+  for (uint64_t &B : Tiers)
     B = 0;
-  ProvenColdBytes = 0;
+  ProvenCold = 0;
   if (TempWords.empty())
     return;
-  forEachLiveObject([this](uintptr_t Addr) {
+  forEachLiveObject([&](uintptr_t Addr) {
     ObjectView V(Addr);
     uint64_t Bytes = alignUp(V.sizeBytes(), ObjectAlignment);
     unsigned Temp = temperatureOf(Addr);
-    TempTierBytes[Temp] += Bytes;
+    Tiers[Temp] += Bytes;
     if (Temp == 0 && coldStreakOf(Addr) >= ProvenColdStreak)
-      ProvenColdBytes += Bytes;
+      ProvenCold += Bytes;
   });
 }
 

@@ -44,8 +44,8 @@ constexpr SiteId UnknownSiteId = 0;
 /// Destination tier a relocation-target page was allocated for
 /// (TEMPERATURE mode splits ColdPage's §3.3 hot/cold destination pair
 /// into hot/warm/cold). Pages that never served as a relocation target
-/// stay None. The cold tier is the reclaimable-RSS population: its bytes
-/// are what `madvise(MADV_COLD)` offers back to the OS.
+/// stay None. The cold tier is the reclaimable-RSS population
+/// (coldpage.resident_bytes): live data whose hotness is low.
 enum class PageTier : uint8_t {
   None = 0,
   Hot,
@@ -187,7 +187,7 @@ public:
   static constexpr unsigned MaxColdStreak = 3;
   /// Cold streak (consecutive aging walks at temperature 0) at which a
   /// survivor counts as proven cold: relocation routes it to the cold
-  /// tier and provenColdBytes() counts it.
+  /// tier and accumulateTempTierBytes counts it as proven cold.
   static constexpr unsigned ProvenColdStreak = 2;
 
   /// \returns true when this page carries the temperature plane.
@@ -218,27 +218,16 @@ public:
   /// reset walk, BEFORE clearMarkState (it needs the maps intact).
   void ageTemperature();
 
-  /// Coordinator-only: recomputes the per-tier live-byte totals from the
-  /// (terminated) livemap. Valid between mark termination and the next
-  /// clearMarkState; sum over tiers equals liveBytes(). Temperature-0
-  /// objects with a cold streak of at least ProvenColdStreak feed
-  /// provenColdBytes().
-  void accumulateTempTierBytes();
-
-  /// Per-tier live bytes from the last accumulateTempTierBytes() pass.
-  uint64_t tempTierBytes(unsigned Tier) const {
-    assert(Tier < TempTiers);
-    return TempTierBytes[Tier];
-  }
-
-  /// Live bytes whose objects sat at temperature 0 with a cold streak of
-  /// at least the ProvenStreak passed to the last accumulate pass. When
-  /// this equals liveBytes() the whole page has proven cold and the
-  /// driver's reclaim pass adopts it into the cold tier (all-cold pages
-  /// keep WLB == live bytes, so EC never re-selects them to route their
-  /// objects to cold destinations — adoption is how they join the
-  /// reclaimable-RSS population).
-  uint64_t provenColdBytes() const { return ProvenColdBytes; }
+  /// Sums the live bytes of each temperature tier into \p Tiers (zeroed
+  /// first) from the terminated livemap, so the tiers partition
+  /// liveBytes(). \p ProvenCold receives the bytes of temperature-0
+  /// objects with a cold streak of at least ProvenColdStreak: when that
+  /// equals liveBytes() the whole page has proven cold, and cold adoption
+  /// moves it into the cold tier (INTERNALS §13). Valid between mark
+  /// termination and the next clearMarkState; the post-mark page census
+  /// is the caller.
+  void accumulateTempTierBytes(uint64_t (&Tiers)[TempTiers],
+                               uint64_t &ProvenCold) const;
 
   /// Destination tier this page was allocated for (relocation targets
   /// only; None otherwise). Stamped by the allocator's notePageTier.
@@ -247,15 +236,6 @@ public:
   }
   void setTier(PageTier T) {
     TierTag.store(static_cast<uint8_t>(T), std::memory_order_relaxed);
-  }
-
-  /// One-shot madvise bookkeeping for the cold-reclaim pass: true once
-  /// the driver has advised (or simulated advising) this page.
-  bool madviseDone() const {
-    return MadviseDone.load(std::memory_order_relaxed);
-  }
-  void setMadviseDone() {
-    MadviseDone.store(true, std::memory_order_relaxed);
   }
 
   // --- Allocation sites (SITEPROFILING knob, INTERNALS §13) -------------
@@ -399,11 +379,6 @@ private:
   /// through atomics so racing flagHot callers on neighbouring granules
   /// stay TSan-clean.
   std::vector<std::atomic<uint64_t>> TempWords;
-  /// Coordinator-written per-tier live-byte totals (plain: written only
-  /// between mark termination and EC selection, read by snapshots/EC in
-  /// the same single-threaded window).
-  uint64_t TempTierBytes[TempTiers] = {0, 0, 0, 0};
-  uint64_t ProvenColdBytes = 0;
   /// Per-granule allocation-site IDs (empty unless TrackSites). Stamped
   /// only at object-start granules; NOT cleared by clearMarkState — a
   /// site tag, like the temperature nibble, is allocation metadata that
@@ -411,7 +386,6 @@ private:
   /// reallocated in place).
   std::vector<std::atomic<SiteId>> SiteTable;
   std::atomic<uint8_t> TierTag{static_cast<uint8_t>(PageTier::None)};
-  std::atomic<bool> MadviseDone{false};
 
   std::unique_ptr<ForwardingTable> Fwd;
   std::atomic<uint64_t> RelocOutGcCtr{0};

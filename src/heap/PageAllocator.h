@@ -147,8 +147,8 @@ public:
   /// population reported by coldPageBytes()).
   void notePageTier(Page *P, PageTier T);
 
-  /// \returns bytes in active cold-tier pages — an upper bound on the
-  /// RSS madvise(MADV_COLD) can offer back to the OS.
+  /// \returns bytes in active cold-tier pages: live data whose hotness
+  /// is low, the RSS the OS could page out first.
   size_t coldPageBytes() const {
     return ColdBytes.load(std::memory_order_relaxed);
   }

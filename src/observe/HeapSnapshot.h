@@ -15,8 +15,8 @@
 ///
 /// Everything here is plain data, deliberately free of heap types: the
 /// observe layer sits below hcsgc_heap in the link order (heap links
-/// observe for bindMetrics), so the capture routine that walks real Page
-/// objects lives in the gc layer (GcHeap::captureSnapshot) and only the
+/// observe for bindMetrics), so the page census that walks real Page
+/// objects lives in the gc layer (GcHeap::takeCensus) and only the
 /// POD results flow down here. That also makes the EC replay below a
 /// pure function a CLI (tools/heapscope) can run offline from a log.
 ///

@@ -156,7 +156,7 @@ uintptr_t Mutator::allocPretenure(size_t Bytes, SiteRoute Route) {
   // Refill like a small-TLAB refill (budgeted allocatePage, not the
   // relocation reserve — pretenuring must never eat evacuation
   // headroom). The fresh page is stamped with the site's destination
-  // tier so the cold-resident accounting and reclaim pass see it.
+  // tier so the cold-resident accounting sees it.
   Page *P = nullptr;
   if (!HCSGC_INJECT_FAIL(TlabRefill))
     P = Heap.allocator().allocatePage(PageSizeClass::Small, Bytes,

@@ -24,8 +24,12 @@ using namespace hcsgc;
 ArgParse::ArgParse(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg.rfind("--", 0) != 0)
+    if (Arg.rfind("--", 0) != 0) {
+      // No binary takes a positional argument: a bare or single-dash
+      // one (`-runs=1`) is a mistyped flag, left for rejectUnknown.
+      Stray.push_back(std::move(Arg));
       continue;
+    }
     Arg = Arg.substr(2);
     size_t Eq = Arg.find('=');
     if (Eq == std::string::npos)
@@ -44,7 +48,9 @@ const std::string *ArgParse::lookup(const std::string &Key) const {
 }
 
 void ArgParse::rejectUnknown() const {
-  bool Unknown = false;
+  bool Unknown = !Stray.empty();
+  for (const std::string &Arg : Stray)
+    std::fprintf(stderr, "unknown argument: %s\n", Arg.c_str());
   for (const auto &[Key, E] : Values) {
     if (E.Read)
       continue;

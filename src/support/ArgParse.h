@@ -19,10 +19,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace hcsgc {
 
-/// Parses `--key=value` and bare `--flag` arguments.
+/// Parses `--key=value` and bare `--flag` arguments; anything else is
+/// an unknown argument.
 class ArgParse {
 public:
   ArgParse(int Argc, char **Argv);
@@ -49,8 +51,9 @@ public:
   static int64_t parseInt(const std::string &Key, const std::string &Value);
 
   /// Call after the last getter: if any `--flag` on the command line was
-  /// never looked up, prints every such flag and exits with status 2, so
-  /// a mistyped or removed flag cannot silently do nothing.
+  /// never looked up, or any argument does not start with `--`, prints
+  /// every such argument and exits with status 2, so a mistyped or
+  /// removed flag cannot silently do nothing.
   void rejectUnknown() const;
 
 private:
@@ -62,6 +65,8 @@ private:
   const std::string *lookup(const std::string &Key) const;
 
   std::map<std::string, Entry> Values;
+  /// Arguments without the `--` prefix; no getter can read them.
+  std::vector<std::string> Stray;
 };
 
 } // namespace hcsgc

@@ -280,7 +280,6 @@ struct KvPurityRun {
   double LatePurity = 0;
   uint64_t ColdPagesAllocated = 0;
   uint64_t ColdRelocatedBytes = 0;
-  uint64_t MadviseBytes = 0;
   uint64_t ColdResidentMax = 0;
   std::vector<CycleSnapshot> Log;
 };
@@ -295,10 +294,7 @@ KvPurityRun runKvPurityWorkload(bool Temperature) {
   Cfg.ColdConfidence = 1.0;
   Cfg.EvacBudgetPages = 16.0;
   Cfg.SnapshotLogEnabled = true;
-  if (Temperature) {
-    Cfg.Temperature = true;
-    Cfg.ColdReclaim = true;
-  }
+  Cfg.Temperature = Temperature;
   Runtime RT(Cfg);
   auto M = RT.attachMutator();
   {
@@ -332,7 +328,6 @@ KvPurityRun runKvPurityWorkload(bool Temperature) {
   MetricsRegistry &MR = RT.metrics();
   R.ColdPagesAllocated = MR.counterValue("coldpage.pages_allocated");
   R.ColdRelocatedBytes = MR.counterValue("coldpage.relocated_bytes");
-  R.MadviseBytes = MR.counterValue("coldpage.madvise_bytes");
   if (const Histogram *H = MR.findHistogram("coldpage.resident_bytes"))
     if (H->count() > 0)
       R.ColdResidentMax = static_cast<uint64_t>(H->max());
@@ -385,14 +380,11 @@ TEST(KvGcStressTest, TemperatureBeatsBinaryHotnessOnHotPagePurity) {
 
   // Binary mode must not touch the temperature-only machinery...
   EXPECT_EQ(Binary.ColdPagesAllocated, 0u);
-  EXPECT_EQ(Binary.MadviseBytes, 0u);
   // ...while the temperature run proves survivors cold, segregates them,
-  // and reports their pages as reclaimable RSS (Simulate counts the
-  // bytes MADV_COLD would cover without the syscall).
+  // and reports their pages as cold-resident RSS.
   EXPECT_GE(Temp.ColdPagesAllocated, 1u);
   EXPECT_GE(Temp.ColdResidentMax, 64u * 1024u)
       << "cold-resident RSS never covered a full page";
-  EXPECT_GE(Temp.MadviseBytes, 64u * 1024u);
 
   // Cold pages stay cold under churn: in every settled temperature
   // snapshot, pages adopted into or filled under the cold tier hold a

@@ -8,7 +8,9 @@
 // Heap-snapshot (locality observatory) invariants:
 //
 //  - every captured page record is internally consistent (hot <= live <=
-//    used, WLB recomputes exactly from the recorded inputs);
+//    used, WLB recomputes exactly from the recorded inputs), and a
+//    cycle's AfterEc capture is its AfterMark census with EC's verdicts
+//    applied;
 //  - the EC decision audit is bit-exact: re-running the §3.1.3 selection
 //    offline (replayEcSelection) from the audited inputs reproduces the
 //    collector's recorded accept set byte-for-byte, at COLDCONFIDENCE
@@ -16,8 +18,8 @@
 //  - every page the audit says was selected appears as an
 //    ec_page_selected trace event of the same cycle (it actually entered
 //    a relocation set rather than being silently dropped);
-//  - capture acquires zero allocator shard locks (the walk rides the
-//    lock-free active-page registries).
+//  - the census walk and the capture acquire zero allocator shard locks
+//    (the walk rides the lock-free active-page registries).
 //
 //===----------------------------------------------------------------------===//
 
@@ -100,13 +102,36 @@ TEST(SnapshotInvariantTest, PageRecordsAreConsistent) {
 
   // Both capture points appear, and AfterMark precedes AfterEc within a
   // cycle (the log is chronological).
-  std::map<uint64_t, std::vector<SnapshotPoint>> ByCycle;
+  std::map<uint64_t, std::vector<const CycleSnapshot *>> ByCycle;
   for (const CycleSnapshot &S : Log)
-    ByCycle[S.Cycle].push_back(S.Point);
-  for (const auto &[Cycle, Points] : ByCycle) {
-    ASSERT_EQ(Points.size(), 2u) << "cycle " << Cycle;
-    EXPECT_EQ(Points[0], SnapshotPoint::AfterMark);
-    EXPECT_EQ(Points[1], SnapshotPoint::AfterEc);
+    ByCycle[S.Cycle].push_back(&S);
+  for (const auto &[Cycle, Caps] : ByCycle) {
+    ASSERT_EQ(Caps.size(), 2u) << "cycle " << Cycle;
+    EXPECT_EQ(Caps[0]->Point, SnapshotPoint::AfterMark);
+    EXPECT_EQ(Caps[1]->Point, SnapshotPoint::AfterEc);
+    // Both come from one post-mark census: AfterEc is AfterMark minus the
+    // pages EC reclaimed as dead, with the selected ones RelocSource.
+    std::map<uint64_t, EcVerdict> Verdicts;
+    for (const EcAuditEntry &E : Caps[1]->Audit.Entries)
+      Verdicts[E.PageBegin] = E.Verdict;
+    std::vector<const PageRecord *> Kept;
+    for (const PageRecord &P : Caps[0]->Pages) {
+      auto V = Verdicts.find(P.PageBegin);
+      if (V == Verdicts.end() || V->second != EcVerdict::DeadReclaimed)
+        Kept.push_back(&P);
+    }
+    ASSERT_EQ(Kept.size(), Caps[1]->Pages.size()) << "cycle " << Cycle;
+    for (size_t I = 0; I < Kept.size(); ++I) {
+      const PageRecord &M = *Kept[I], &E = Caps[1]->Pages[I];
+      auto V = Verdicts.find(M.PageBegin);
+      bool Selected = V != Verdicts.end() && V->second == EcVerdict::Selected;
+      EXPECT_EQ(E.PageBegin, M.PageBegin);
+      EXPECT_EQ(E.UsedBytes, M.UsedBytes);
+      EXPECT_EQ(E.LiveBytes, M.LiveBytes);
+      EXPECT_EQ(E.Wlb, M.Wlb);
+      EXPECT_EQ(E.EcSelected, Selected ? 1 : 0);
+      EXPECT_EQ(E.State, Selected ? SnapPageState::RelocSource : M.State);
+    }
   }
 }
 
@@ -202,15 +227,15 @@ TEST(SnapshotInvariantTest, CaptureAcquiresNoShardLocks) {
   RT.driver().waitIdle();
 
   // The heap is idle: any shard-lock acquisition between the two reads
-  // below can only come from the capture itself.
+  // below can only come from the census walk or the capture itself.
   uint64_t Before =
       RT.metrics().counterValue("alloc.shard.lock_acquisitions");
-  RT.heap().captureSnapshot(SnapshotPoint::AfterMark,
-                            RT.heap().currentCycle(), nullptr);
+  RT.heap().takeCensus(RT.heap().currentCycle());
+  RT.heap().captureSnapshot(SnapshotPoint::AfterMark, nullptr);
   uint64_t After =
       RT.metrics().counterValue("alloc.shard.lock_acquisitions");
   EXPECT_EQ(Before, After)
-      << "snapshot capture took an allocator shard lock";
+      << "census or snapshot capture took an allocator shard lock";
 
   // And the capture actually recorded pages.
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();
@@ -229,7 +254,6 @@ TEST(SnapshotInvariantTest, TemperatureCapturesRecomputeAndReplay) {
   GcConfig Cfg = snapConfig(1.0);
   Cfg.Temperature = true;
   Cfg.ColdPage = true;
-  Cfg.ColdReclaim = true;
   Runtime RT(Cfg);
   runMixedWorkload(RT);
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();

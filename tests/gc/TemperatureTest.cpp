@@ -9,8 +9,8 @@
 // dependencies, the atomicity of racing temperature bumps on shared
 // nibble words (run under TSan in CI), the temp.* tier accounting, and
 // the full proven-cold pipeline — decay to temperature 0, cold-streak
-// routing onto dedicated cold pages, and the madvise pass that reports
-// their bytes as reclaimable RSS.
+// routing onto dedicated cold pages, and cold adoption, which reports
+// their bytes as cold-resident RSS.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +42,6 @@ TEST(TemperatureTest, KnobValidation) {
   EXPECT_FALSE(Cfg.knobsValid());
   Cfg.Hotness = true;
   EXPECT_TRUE(Cfg.knobsValid());
-
-  // Cold reclaim needs the full stack: proven-cold routing only exists
-  // with Temperature + ColdPage.
-  Cfg.ColdReclaim = true;
-  EXPECT_FALSE(Cfg.knobsValid());
-  Cfg.ColdPage = true;
-  EXPECT_TRUE(Cfg.knobsValid());
-  Cfg.Temperature = false;
-  EXPECT_FALSE(Cfg.knobsValid());
 }
 
 TEST(TemperatureTest, RacingBumpsOnSharedNibbleWordsStaySaturating) {
@@ -121,17 +112,15 @@ TEST(TemperatureTest, TierMetricsTrackTouchedVsUntouched) {
   EXPECT_GT(MR.counterValue("temp.cold_bytes"), N / 2 * 16u);
 }
 
-TEST(TemperatureTest, ProvenColdSurvivorsSettleOnColdPagesAndAreAdvised) {
+TEST(TemperatureTest, ProvenColdSurvivorsSettleOnColdPages) {
   // The full pipeline: untouched survivors decay to temperature 0,
   // accrue a cold streak >= ProvenColdStreak, get routed onto dedicated
   // cold-tier pages at their next relocation, and — once those pages
   // settle (no longer relocation targets, dense enough to be rejected
-  // by EC) — the reclaim pass advises each exactly once and
-  // reports their bytes as reclaimable RSS.
+  // by EC) — their bytes are reported as cold-resident RSS.
   GcConfig Cfg = tempConfig();
   Cfg.ColdPage = true;
   Cfg.ColdConfidence = 1.0;
-  Cfg.ColdReclaim = true;
   Cfg.EvacBudgetPages = 16;
   Runtime RT(Cfg);
   ClassId Cls = RT.registerClass("t.Cold", 0, 24);
@@ -165,10 +154,6 @@ TEST(TemperatureTest, ProvenColdSurvivorsSettleOnColdPagesAndAreAdvised) {
   const uint64_t PageBytes = 64 * 1024;
   EXPECT_GE(MR.counterValue("coldpage.pages_allocated"), 2u);
   EXPECT_GT(MR.counterValue("coldpage.relocated_bytes"), 2 * PageBytes);
-  // Settled full cold pages were advised once each (Simulate counts the
-  // bytes a real MADV_COLD pass would cover, without the syscall).
-  EXPECT_GE(MR.counterValue("coldpage.madvise_calls"), 1u);
-  EXPECT_GE(MR.counterValue("coldpage.madvise_bytes"), PageBytes);
   // Cold-resident bytes are sampled every cycle as reclaimable RSS; at
   // peak they covered at least one full page.
   const Histogram *Resident = MR.findHistogram("coldpage.resident_bytes");

@@ -80,48 +80,41 @@ TEST(ConfigTest, AllConfigsCount) {
 }
 
 TEST(ConfigTest, TemperatureExtensionConfigs) {
-  // Ids 19/20 extend the table beyond the paper: config 16 plus the
-  // 2-bit temperature plane (19), plus the cold-page reclaim pass (20).
-  // They are NOT part of allTable2Configs() — the paper sweep stays the
-  // verbatim 19-row matrix.
-  for (int Id : {19, 20}) {
-    KnobConfig K = table2Config(Id);
-    EXPECT_EQ(K.Id, Id);
-    EXPECT_TRUE(K.Hotness);
-    EXPECT_TRUE(K.ColdPage);
-    EXPECT_DOUBLE_EQ(K.ColdConfidence, 1.0);
-    EXPECT_TRUE(K.LazyRelocate);
-    EXPECT_TRUE(K.Temperature);
-    EXPECT_EQ(K.ColdReclaim, Id == 20);
-    GcConfig Cfg = applyKnobs(GcConfig(), K);
-    EXPECT_TRUE(Cfg.knobsValid()) << Id;
-    EXPECT_EQ(Cfg.ColdReclaim, Id == 20);
-  }
+  // Id 19 extends the table beyond the paper: config 16 plus the 2-bit
+  // temperature plane. It is NOT part of allTable2Configs() — the paper
+  // sweep stays the verbatim 19-row matrix.
+  KnobConfig K = table2Config(19);
+  EXPECT_EQ(K.Id, 19);
+  EXPECT_TRUE(K.Hotness);
+  EXPECT_TRUE(K.ColdPage);
+  EXPECT_DOUBLE_EQ(K.ColdConfidence, 1.0);
+  EXPECT_TRUE(K.LazyRelocate);
+  EXPECT_TRUE(K.Temperature);
+  EXPECT_FALSE(K.SiteProfile);
+  EXPECT_TRUE(applyKnobs(GcConfig(), K).knobsValid());
   EXPECT_EQ(describeConfig(table2Config(19)), "H1 CP1 CC1.0 RA0 LZ1 T1");
-  EXPECT_EQ(describeConfig(table2Config(20)),
-            "H1 CP1 CC1.0 RA0 LZ1 T1 CR1");
   // The paper configs keep their exact Table 2 labels — no suffix leaks.
   EXPECT_EQ(describeConfig(table2Config(16)), "H1 CP1 CC1.0 RA0 LZ1");
+  // Ids 20 and 22 (the removed cold-page madvise pass) are retired.
+  for (int Id : {-1, 20, 22, 23})
+    EXPECT_FALSE(isConfigId(Id)) << Id;
+  for (int Id : {0, 18, 19, 21})
+    EXPECT_TRUE(isConfigId(Id)) << Id;
 }
 
 TEST(ConfigTest, SiteProfilingExtensionConfigs) {
-  // Ids 21/22 are 19/20 plus allocation-site profiling and pretenuring.
-  for (int Id : {21, 22}) {
-    KnobConfig K = table2Config(Id);
-    EXPECT_EQ(K.Id, Id);
-    EXPECT_TRUE(K.Hotness);
-    EXPECT_TRUE(K.Temperature);
-    EXPECT_TRUE(K.SiteProfile);
-    EXPECT_EQ(K.ColdReclaim, Id == 22);
-    GcConfig Cfg = applyKnobs(GcConfig(), K);
-    EXPECT_TRUE(Cfg.knobsValid()) << Id;
-    EXPECT_TRUE(Cfg.SiteProfiling) << Id;
-  }
+  // Id 21 is 19 plus allocation-site profiling and pretenuring.
+  KnobConfig K = table2Config(21);
+  EXPECT_EQ(K.Id, 21);
+  EXPECT_TRUE(K.Hotness);
+  EXPECT_TRUE(K.Temperature);
+  EXPECT_TRUE(K.SiteProfile);
+  GcConfig Cfg = applyKnobs(GcConfig(), K);
+  EXPECT_TRUE(Cfg.knobsValid());
+  EXPECT_TRUE(Cfg.SiteProfiling);
   EXPECT_EQ(describeConfig(table2Config(21)),
             "H1 CP1 CC1.0 RA0 LZ1 T1 SP1");
-  EXPECT_EQ(describeConfig(table2Config(22)),
-            "H1 CP1 CC1.0 RA0 LZ1 T1 CR1 SP1");
-  // The temperature-only ids stay untouched by the new suffix.
+  // The temperature-only id stays untouched by the new suffix.
   EXPECT_EQ(describeConfig(table2Config(19)), "H1 CP1 CC1.0 RA0 LZ1 T1");
   // Site profiling requires hotness: the gate mirrors ColdPage's.
   GcConfig Bad;

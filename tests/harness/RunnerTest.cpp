@@ -111,8 +111,55 @@ TEST(RunnerDeathTest, MalformedConfigIdsAreRejected) {
               "--configs: '16x'");
   EXPECT_EXIT(Apply("--configs=23"), ::testing::ExitedWithCode(2),
               "--configs: 23");
+  // Retired ids (the removed cold-page madvise pass).
+  EXPECT_EXIT(Apply("--configs=19,20"), ::testing::ExitedWithCode(2),
+              "--configs: 20");
+  EXPECT_EXIT(Apply("--configs=22"), ::testing::ExitedWithCode(2),
+              "--configs: 22");
   EXPECT_EXIT(Apply("--heap-mb=abc"), ::testing::ExitedWithCode(2),
               "--heap-mb: 'abc'");
+}
+
+TEST(RunnerTest, HeapMbChangesOnlyTheHeapSize) {
+  // A bench that tunes its base config (as the graph benches and
+  // bench_fig12_h2 do) keeps every field --heap-mb does not derive.
+  ExperimentSpec Spec;
+  Spec.BaseConfig = benchBaseConfig(10);
+  Spec.BaseConfig.TriggerFraction = 0.45;
+  Spec.BaseConfig.TriggerHysteresisFraction = 0.05;
+  Spec.BaseConfig.Cache.L1Size = 16 * 1024;
+  Spec.BaseConfig.Cache.L2Size = 64 * 1024;
+  Spec.BaseConfig.Cache.L3Size = 512 * 1024;
+  Spec.BaseConfig.GcWorkers = 3;
+  const GcConfig Want = Spec.BaseConfig;
+  const GcConfig Sized = benchBaseConfig(96);
+
+  char Prog[] = "bench", Flag[] = "--heap-mb=96";
+  char *Argv[] = {Prog, Flag};
+  applyCommonFlags(ArgParse(2, Argv), Spec);
+  const GcConfig &Got = Spec.BaseConfig;
+  EXPECT_EQ(Got.MaxHeapBytes, size_t(96) << 20);
+  EXPECT_EQ(Got.EvacBudgetPages, Sized.EvacBudgetPages);
+  // Every field the spec or benchBaseConfig set (GcConfig has no ==).
+  EXPECT_EQ(Got.TriggerFraction, Want.TriggerFraction);
+  EXPECT_EQ(Got.TriggerHysteresisFraction, Want.TriggerHysteresisFraction);
+  EXPECT_EQ(Got.Cache.L1Size, Want.Cache.L1Size);
+  EXPECT_EQ(Got.Cache.L2Size, Want.Cache.L2Size);
+  EXPECT_EQ(Got.Cache.L3Size, Want.Cache.L3Size);
+  EXPECT_EQ(Got.GcWorkers, Want.GcWorkers);
+  EXPECT_EQ(Got.Geometry.SmallPageSize, Want.Geometry.SmallPageSize);
+  EXPECT_EQ(Got.Geometry.MediumPageSize, Want.Geometry.MediumPageSize);
+  EXPECT_EQ(Got.EnableProbes, Want.EnableProbes);
+
+  // fig04 and KV start from a plain benchBaseConfig: --heap-mb yields
+  // exactly the config benchBaseConfig builds for that heap.
+  ExperimentSpec Plain;
+  Plain.BaseConfig = benchBaseConfig(256);
+  applyCommonFlags(ArgParse(2, Argv), Plain);
+  EXPECT_EQ(Plain.BaseConfig.MaxHeapBytes, Sized.MaxHeapBytes);
+  EXPECT_EQ(Plain.BaseConfig.EvacBudgetPages, Sized.EvacBudgetPages);
+  EXPECT_EQ(Plain.BaseConfig.TriggerHysteresisFraction,
+            Sized.TriggerHysteresisFraction);
 }
 
 TEST(RunnerTest, BenchBaseConfigScalesBudget) {

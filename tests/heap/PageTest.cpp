@@ -344,13 +344,15 @@ TEST_F(TempPageTest, TierByteTotalsPartitionLiveBytes) {
   P.seedTemperature(Objs[2], 2, 0);
   P.seedTemperature(Objs[3], 3, 0);
   P.seedTemperature(Objs[4], 3, 0);
-  P.accumulateTempTierBytes();
-  EXPECT_EQ(P.tempTierBytes(0), 64u);
-  EXPECT_EQ(P.tempTierBytes(1), 32u);
-  EXPECT_EQ(P.tempTierBytes(2), 32u);
-  EXPECT_EQ(P.tempTierBytes(3), 64u);
+  uint64_t Tiers[Page::TempTiers], ProvenCold;
+  P.accumulateTempTierBytes(Tiers, ProvenCold);
+  EXPECT_EQ(Tiers[0], 64u);
+  EXPECT_EQ(Tiers[1], 32u);
+  EXPECT_EQ(Tiers[2], 32u);
+  EXPECT_EQ(Tiers[3], 64u);
+  EXPECT_EQ(ProvenCold, 0u) << "no object has a cold streak yet";
   uint64_t Sum = 0;
   for (unsigned T = 0; T < Page::TempTiers; ++T)
-    Sum += P.tempTierBytes(T);
+    Sum += Tiers[T];
   EXPECT_EQ(Sum, P.liveBytes());
 }

@@ -85,12 +85,26 @@ TEST(ArgParseTest, NonFlagArgumentsIgnored) {
 }
 
 TEST(ArgParseTest, RejectUnknownAcceptsFlagsThatWereRead) {
-  ArgParse A = parse({"--runs=2", "--verbose", "positional"});
+  ArgParse A = parse({"--runs=2", "--verbose"});
   EXPECT_EQ(A.getInt("runs", 1), 2);
   EXPECT_TRUE(A.getBool("verbose", false));
   EXPECT_EQ(A.getString("absent", "d"), "d");
-  // Every --flag was read and positionals are not flags: no exit.
+  // Every --flag was read: no exit.
   A.rejectUnknown();
+}
+
+TEST(ArgParseDeathTest, RejectUnknownNamesBareAndSingleDashArguments) {
+  // `-runs=1` is a mistyped flag, not a value: no getter reads it, and
+  // it must not fall through to the default.
+  auto Check = [] {
+    ArgParse A = parse({"-runs=1", "--configs=0", "-bogus-flag", "bare"});
+    EXPECT_EQ(A.getInt("runs", 3), 3);
+    (void)A.getString("configs", "");
+    A.rejectUnknown();
+  };
+  EXPECT_EXIT(Check(), ::testing::ExitedWithCode(2),
+              "unknown argument: -runs=1\n.*unknown argument: "
+              "-bogus-flag\n.*unknown argument: bare");
 }
 
 TEST(ArgParseDeathTest, RejectUnknownNamesEveryUnreadFlag) {

@@ -235,8 +235,6 @@ GcConfig configForSeed(uint64_t Bits, const Options &Opt) {
   Cfg.LazyRelocate = (Bits >> 4) & 1;
   Cfg.GcWorkers = 1 + ((Bits >> 5) & 1);
   Cfg.Temperature = Cfg.Hotness && ((Bits >> 6) & 1);
-  if (Cfg.Temperature && Cfg.ColdPage && ((Bits >> 7) & 1))
-    Cfg.ColdReclaim = true;
   Cfg.SiteProfiling = Cfg.Hotness && ((Bits >> 8) & 1);
   Cfg.TriggerFraction = 0.6;
   Cfg.TraceEnabled = !Opt.TraceDir.empty();
