@@ -49,6 +49,8 @@ namespace {
 struct KvRunRecord {
   int ConfigId = 0;
   KvWorkloadResult R;
+  /// Largest per-cycle census sum of page side tables so far.
+  uint64_t SideTableBytesMax = 0;
 };
 
 bool writeJson(const std::string &Path, const KvWorkloadParams &P,
@@ -80,6 +82,7 @@ bool writeJson(const std::string &Path, const KvWorkloadParams &P,
         << ", \"consistency_failures\": " << RR.R.ConsistencyFailures
         << ", \"heap_exhausted\": " << RR.R.HeapExhausted
         << ", \"live_records\": " << RR.R.LiveRecords
+        << ", \"side_table_bytes_max\": " << RR.SideTableBytesMax
         << ", \"checksum\": " << RR.R.Checksum << "}"
         << (I + 1 < Runs.size() ? "," : "") << "\n";
   }
@@ -147,6 +150,8 @@ int main(int Argc, char **Argv) {
       std::lock_guard<std::mutex> G(RunLogMu);
       KvRunRecord RR;
       RR.R = R;
+      RR.SideTableBytesMax =
+          M.runtime().metrics().findHistogram("heap.side_table_bytes")->max();
       RunLog.push_back(RR);
     }
     if (R.ConsistencyFailures || R.ReadMisses)
@@ -168,6 +173,10 @@ int main(int Argc, char **Argv) {
   }
   printReport(R);
   printScoreReport(R, "kops/s", "p99(us)", "p50(us)");
+  std::printf("\n-- Page side tables (heap.side_table_bytes max) --\n");
+  for (const KvRunRecord &RR : RunLog)
+    std::printf("cfg %d: %.2f MB\n", RR.ConfigId,
+                static_cast<double>(RR.SideTableBytesMax) / (1 << 20));
 
   uint64_t Violations = 0;
   for (const KvRunRecord &RR : RunLog)

@@ -72,7 +72,7 @@ struct GcConfig {
 
   // --- Allocation-site profiling & pretenuring (INTERNALS §13) -----------
   /// Carry caller-supplied allocation-site IDs through the allocation
-  /// path, stamp them into a per-page side table, and accumulate
+  /// path, stamp them into the object header, and accumulate
   /// per-site survival/hotness/relocation-churn profiles across cycles.
   /// Sites whose profile proves persistently cold get their allocations
   /// routed to warm/cold-tier pages via a per-thread secondary TLAB, so

@@ -45,6 +45,7 @@ GcHeap::GcHeap(const GcConfig &C)
   Alloc.bindMetrics(Metrics);
   MediumRefills = &Metrics.counter("alloc.tlab.medium_refills");
   StallUs = &Metrics.histogram("alloc.stall_us");
+  SideTableBytes = &Metrics.histogram("heap.side_table_bytes");
   // Raw-speed instrumentation (INTERNALS §14): created unconditionally so
   // the catalog stays config-independent; batch_* only move when probes
   // are on, prefetch_* whenever the mark path runs.
@@ -84,10 +85,12 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
   for (uint64_t &B : Census.TierBytes)
     B = 0;
   Census.Rows.clear();
+  uint64_t SideBytes = 0;
   // Pages installed concurrently may be missed: they were allocated this
   // cycle, which EC selection and adoption exclude anyway, and a
   // snapshot is a point-in-time sample, not an exhaustive ledger.
   Alloc.forEachActivePage([&](Page &P) {
+    SideBytes += P.sideTableBytes();
     CensusRow &Row = Census.Rows.emplace_back();
     Row.P = &P;
     PageRecord &R = Row.Rec;
@@ -127,6 +130,7 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
                          Census.ColdConfidence);
     }
   });
+  SideTableBytes->record(SideBytes);
 }
 
 void GcHeap::captureSnapshot(SnapshotPoint Point, const EcAudit *Audit) {

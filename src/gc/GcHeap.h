@@ -405,6 +405,8 @@ private:
   Counter *MediumRefills = nullptr;
   /// alloc.stall_us histogram, cached at construction.
   Histogram *StallUs = nullptr;
+  /// heap.side_table_bytes histogram, cached at construction.
+  Histogram *SideTableBytes = nullptr;
   /// simcache.batch_* counters, cached at construction and handed to
   /// every registering ThreadContext (the catalog is config-independent,
   /// so they exist even with probes off).

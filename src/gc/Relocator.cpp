@@ -121,22 +121,19 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
       if (Tier == PageTier::Cold)
         Heap.countColdRelocation(Bytes);
     }
-    // The winner also carries the allocation-site stamp across the move
-    // (the profile walk reads the copy's granule next cycle) and charges
-    // the site with the relocation churn — the byte stream pretenuring
-    // exists to shrink.
-    if (Src->tracksSites()) {
+    // The copied header already carries the allocation site; the winner
+    // charges the site with the relocation churn — the byte stream
+    // pretenuring exists to shrink.
+    SiteProfileTable *Prof = Heap.siteProfile();
+    if (Prof && Src->tracksSites()) {
       SiteId Site = Src->siteOf(OldAddr);
-      (*TargetSlot)->stampSite(NewAddr, Site);
-      if (SiteProfileTable *Prof = Heap.siteProfile()) {
-        Prof->noteRelocation(Site, Bytes);
-        // A relocated object is a survivor the pre-STW1 walk will never
-        // see (its destination livemap is empty until the next mark);
-        // charge its survival here. Mutator relocations are accesses, so
-        // they count as hot, matching the hotmap transfer above.
-        Prof->noteRelocatedSurvival(Site, Bytes,
-                                    !Ctx.IsGcThread || Src->isHot(OldAddr));
-      }
+      Prof->noteRelocation(Site, Bytes);
+      // A relocated object is a survivor the pre-STW1 walk will never
+      // see (its destination livemap is empty until the next mark);
+      // charge its survival here. Mutator relocations are accesses, so
+      // they count as hot, matching the hotmap transfer above.
+      Prof->noteRelocatedSurvival(Site, Bytes,
+                                  !Ctx.IsGcThread || Src->isHot(OldAddr));
     }
     Heap.countRelocation(Ctx.IsGcThread, Bytes);
     Src->noteRelocatedFrom(Ctx.IsGcThread, Bytes);

@@ -9,7 +9,7 @@
 /// Per-allocation-site lifetime/hotness profiles (SITEPROFILING knob,
 /// INTERNALS §13). NG2C-style pretenuring: call sites tag allocations
 /// with an interned SiteId (HCSGC_ALLOC_SITE), the mutator stamps the id
-/// into the page's site side table, and the driver's pre-STW1 walk folds
+/// into the object header's site bits, and the driver's pre-STW1 walk folds
 /// each cycle's livemap/hotmap into per-site survival and hotness
 /// EWMAs. Sites that prove persistently cold get their allocations
 /// routed to warm/cold-tier pages through a per-thread secondary TLAB —
@@ -22,7 +22,7 @@
 #ifndef HCSGC_GC_SITEPROFILE_H
 #define HCSGC_GC_SITEPROFILE_H
 
-#include "heap/Page.h" // SiteId / UnknownSiteId
+#include "heap/ObjectModel.h" // SiteId / UnknownSiteId
 #include "observe/Metrics.h"
 
 #include <array>
@@ -104,11 +104,11 @@ struct SiteStats {
 /// walk that ages temperature and resets mark state.
 class SiteProfileTable {
 public:
-  /// Fixed site capacity: SiteIds at or above this fall back to the
-  /// unknown slot's accounting. 256 distinct tagged call sites is far
-  /// beyond any workload in-tree; a fixed array keeps every hook
-  /// allocation-free and index-race-free.
-  static constexpr size_t MaxSites = 256;
+  /// Fixed site capacity, one slot per id a header can carry: SiteIds at
+  /// or above this fall back to the unknown slot's accounting. 128
+  /// tagged call sites is far beyond any workload in-tree; a fixed array
+  /// keeps every hook allocation-free and index-race-free.
+  static constexpr size_t MaxSites = size_t(MaxHeaderSite) + 1;
 
   explicit SiteProfileTable(unsigned ProfileCycles);
 

@@ -45,7 +45,13 @@ constexpr size_t HeaderBytes = 8;
 /// them to user types.
 using ClassId = uint16_t;
 
-/// Object header flag bits.
+/// Allocation-site identifier (SITEPROFILING, INTERNALS §13), interned
+/// by SiteRegistry (src/gc/SiteProfile.h). 0 is the reserved "unknown"
+/// site that untagged allocations carry.
+using SiteId = uint16_t;
+constexpr SiteId UnknownSiteId = 0;
+
+/// Object header flag bits (header bit 56).
 enum ObjectFlags : uint8_t {
   OF_None = 0,
   /// The object is a reference array: its first payload word is the
@@ -53,18 +59,29 @@ enum ObjectFlags : uint8_t {
   OF_RefArray = 1 << 0,
 };
 
-/// Packs an object header word.
+/// Header bits 57-63 hold the allocation site.
+constexpr unsigned HeaderSiteShift = 57;
+constexpr SiteId MaxHeaderSite = (1u << (64 - HeaderSiteShift)) - 1;
+
+/// Packs an object header word:
+///   bits  0-31 size in words, 32-47 class id, 48-55 inline ref count,
+///   bit  56    OF_RefArray, 57-63 allocation site.
 ///
 /// \param SizeWords total object size in 8-byte words, header included.
 /// \param Cls class id from the runtime's registry.
 /// \param NumRefs number of inline reference slots (ignored for ref
 ///        arrays, whose slot count is their length word).
+/// \param Site allocation site; ids above MaxHeaderSite store as unknown.
 inline uint64_t makeHeader(uint32_t SizeWords, ClassId Cls, uint8_t NumRefs,
-                           uint8_t Flags) {
+                           uint8_t Flags, SiteId Site = UnknownSiteId) {
+  assert((Flags & ~OF_RefArray) == 0 && "flag bit would overlap the site");
+  if (Site > MaxHeaderSite)
+    Site = UnknownSiteId;
   return static_cast<uint64_t>(SizeWords) |
          (static_cast<uint64_t>(Cls) << 32) |
          (static_cast<uint64_t>(NumRefs) << 48) |
-         (static_cast<uint64_t>(Flags) << 56);
+         (static_cast<uint64_t>(Flags) << 56) |
+         (static_cast<uint64_t>(Site) << HeaderSiteShift);
 }
 
 /// A non-owning view of an object at a known-valid address. All accessors
@@ -91,8 +108,12 @@ public:
   ClassId classId() const {
     return static_cast<ClassId>(header() >> 32);
   }
-  uint8_t flags() const { return static_cast<uint8_t>(header() >> 56); }
-  bool isRefArray() const { return flags() & OF_RefArray; }
+  bool isRefArray() const { return (header() >> 56) & OF_RefArray; }
+  /// Allocation site stamped at allocation (UnknownSiteId if untagged);
+  /// relocation copies the header, so the site moves with the object.
+  SiteId site() const {
+    return static_cast<SiteId>(header() >> HeaderSiteShift);
+  }
 
   /// \returns the number of reference slots (array length for ref arrays).
   uint32_t numRefs() const {
@@ -148,7 +169,8 @@ inline size_t refArraySizeFor(uint32_t Length) {
 /// \p Addr; reference slots must already be zero (allocators hand out
 /// zeroed memory).
 void initializeObject(uintptr_t Addr, uint32_t SizeWords, ClassId Cls,
-                      uint8_t NumRefs, uint8_t Flags, uint32_t ArrayLength);
+                      uint8_t NumRefs, uint8_t Flags, uint32_t ArrayLength,
+                      SiteId Site = UnknownSiteId);
 
 } // namespace hcsgc
 

@@ -15,7 +15,7 @@ Page::Page(uintptr_t Begin, size_t Size, PageSizeClass Cls, uint64_t Seq,
            bool TrackTemp, bool TrackSites)
     : BeginAddr(Begin), PageBytes(Size), Cls(Cls), AllocSeq(Seq),
       Top(Begin), LiveMap(Size / ObjectAlignment),
-      HotMap(Size / ObjectAlignment) {
+      HotMap(Size / ObjectAlignment), TrackSites(TrackSites) {
   assert(Begin % ObjectAlignment == 0 && "misaligned page");
   size_t Granules = Size / ObjectAlignment;
   if (TrackTemp) {
@@ -23,11 +23,6 @@ Page::Page(uintptr_t Begin, size_t Size, PageSizeClass Cls, uint64_t Seq,
         (Granules + GranulesPerTempWord - 1) / GranulesPerTempWord);
     for (std::atomic<uint64_t> &W : TempWords)
       W.store(0, std::memory_order_relaxed);
-  }
-  if (TrackSites) {
-    SiteTable = std::vector<std::atomic<SiteId>>(Granules);
-    for (std::atomic<SiteId> &S : SiteTable)
-      S.store(UnknownSiteId, std::memory_order_relaxed);
   }
 }
 

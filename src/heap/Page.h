@@ -32,15 +32,6 @@
 
 namespace hcsgc {
 
-/// Allocation-site identifier carried through the allocation path when
-/// SiteProfiling is on (INTERNALS §13). 0 is the reserved "unknown"
-/// site: untagged call sites and untracked pages both read as 0, so the
-/// default-argument plumbing costs nothing. IDs are interned by
-/// SiteRegistry (src/gc/SiteProfile.h); the heap layer only stores and
-/// moves the raw value.
-using SiteId = uint16_t;
-constexpr SiteId UnknownSiteId = 0;
-
 /// Destination tier a relocation-target page was allocated for
 /// (TEMPERATURE mode splits ColdPage's §3.3 hot/cold destination pair
 /// into hot/warm/cold). Pages that never served as a relocation target
@@ -73,9 +64,8 @@ public:
   /// \p TrackTemp arms the per-object temperature plane (TEMPERATURE
   /// knob): a 4-bit nibble per granule beside the hotmap — 2-bit
   /// saturating temperature plus a 2-bit cold-streak counter.
-  /// \p TrackSites arms the allocation-site side table (SITEPROFILING
-  /// knob): one SiteId per granule, stamped at the object-start granule
-  /// by the allocator and carried across relocation by the winner.
+  /// \p TrackSites marks a page whose objects' header site bits are
+  /// attributed to the site profile (SITEPROFILING knob).
   Page(uintptr_t Begin, size_t Size, PageSizeClass Cls, uint64_t AllocSeq,
        bool TrackTemp = false, bool TrackSites = false);
 
@@ -240,26 +230,21 @@ public:
 
   // --- Allocation sites (SITEPROFILING knob, INTERNALS §13) -------------
 
-  /// \returns true when this page carries the allocation-site side table.
-  bool tracksSites() const { return !SiteTable.empty(); }
+  /// \returns true when this page's objects are attributed to sites.
+  bool tracksSites() const { return TrackSites; }
 
-  /// Stamps \p Site at the object-start granule of \p Addr. Called by
-  /// the allocating mutator right after the bump (the granule belongs
-  /// exclusively to the allocator until the object is published) and by
-  /// the relocation winner seeding the destination copy — both exclusive
-  /// writers; the store stays atomic only so the concurrent profile
-  /// walk's reads are TSan-clean. No-op on untracked pages.
-  void stampSite(uintptr_t Addr, SiteId Site) {
-    if (!SiteTable.empty())
-      SiteTable[granuleOf(Addr)].store(Site, std::memory_order_relaxed);
+  /// Allocation site in the header of the object at \p Addr
+  /// (UnknownSiteId on an untracked page or for an untagged object).
+  SiteId siteOf(uintptr_t Addr) const {
+    assert(contains(Addr) && "address not on this page");
+    return TrackSites ? ObjectView(Addr).site() : UnknownSiteId;
   }
 
-  /// Allocation site of the object at \p Addr (UnknownSiteId when the
-  /// page is untracked or the object was never tagged).
-  SiteId siteOf(uintptr_t Addr) const {
-    if (SiteTable.empty())
-      return UnknownSiteId;
-    return SiteTable[granuleOf(Addr)].load(std::memory_order_relaxed);
+  /// Bytes of per-granule side metadata this page carries: the livemap,
+  /// the hotmap and (TEMPERATURE) the temperature plane.
+  size_t sideTableBytes() const {
+    return (LiveMap.numWords() + HotMap.numWords() + TempWords.size()) *
+           sizeof(uint64_t);
   }
 
   // --- Relocation -------------------------------------------------------
@@ -379,12 +364,7 @@ private:
   /// through atomics so racing flagHot callers on neighbouring granules
   /// stay TSan-clean.
   std::vector<std::atomic<uint64_t>> TempWords;
-  /// Per-granule allocation-site IDs (empty unless TrackSites). Stamped
-  /// only at object-start granules; NOT cleared by clearMarkState — a
-  /// site tag, like the temperature nibble, is allocation metadata that
-  /// outlives the mark cycle (pages are bump-only, granules are never
-  /// reallocated in place).
-  std::vector<std::atomic<SiteId>> SiteTable;
+  bool TrackSites;
   std::atomic<uint8_t> TierTag{static_cast<uint8_t>(PageTier::None)};
 
   std::unique_ptr<ForwardingTable> Fwd;

@@ -88,8 +88,8 @@ public:
   ///        at least one medium page — tiny pools collapse to one shard.
   /// \param TrackTemperature arm the per-object temperature plane on
   ///        every small page (TEMPERATURE knob; see Page).
-  /// \param TrackAllocSites arm the allocation-site side table on every
-  ///        small page (SITEPROFILING knob; see Page).
+  /// \param TrackAllocSites attribute every small page's objects to
+  ///        their header sites (SITEPROFILING knob; see Page).
   PageAllocator(const HeapGeometry &Geo, size_t MaxHeapBytes,
                 size_t ReservedBytes = 0, size_t RelocReserveBytes = 0,
                 unsigned Shards = 0, bool TrackTemperature = false,

@@ -44,7 +44,7 @@ enum class FailPoint : unsigned {
   /// GcHeap::allocateRelocTarget: deny the forced primary allocation so
   /// the reserved relocation-target pool must satisfy the request.
   RelocTargetAlloc,
-  /// Mutator TLAB refill in allocRaw: the refill reports failure without
+  /// Mutator TLAB refill in allocObject: the refill reports failure without
   /// consuming address space, driving the stall/backoff path.
   TlabRefill,
   /// GcDriver phase boundaries: bounded randomized sleep for schedule

@@ -177,7 +177,9 @@ uintptr_t Mutator::allocPretenure(size_t Bytes, SiteRoute Route) {
   return Addr;
 }
 
-uintptr_t Mutator::allocRaw(size_t Bytes, StallInfo &SI, SiteId Site) {
+uintptr_t Mutator::allocObject(size_t Bytes, StallInfo &SI, SiteId Site,
+                               ClassId Cls, uint8_t NumRefs, uint8_t Flags,
+                               uint32_t ArrayLength) {
   poll();
   const GcConfig &Cfg = Heap.config();
   const HeapGeometry &Geo = Cfg.Geometry;
@@ -220,12 +222,15 @@ uintptr_t Mutator::allocRaw(size_t Bytes, StallInfo &SI, SiteId Site) {
       maybeTriggerGc();
     }
     if (Addr) {
-      if (Prof) {
-        if (Page *P = Heap.pageTable().lookup(Addr))
-          P->stampSite(Addr, Site);
+      // The header carries the site exactly when the hooks engaged;
+      // relocation copies it along with the object.
+      if (Prof)
         Prof->noteAllocation(Site, alignUp(Bytes, ObjectAlignment),
                              Pretenured);
-      }
+      initializeObject(Addr, static_cast<uint32_t>(Bytes / 8), Cls, NumRefs,
+                       Flags, ArrayLength, Prof ? Site : UnknownSiteId);
+      Ctx.probeStore(Addr, (Flags & OF_RefArray) ? HeaderBytes + 8
+                                                 : HeaderBytes);
       return Addr;
     }
     if (Attempt == AllocStallRetries)
@@ -273,58 +278,42 @@ AllocStatus Mutator::tryAllocate(Root &Out, ClassId Cls, SiteId Site) {
 AllocStatus Mutator::tryAllocateSized(Root &Out, ClassId Cls,
                                       uint8_t NumRefs,
                                       size_t PayloadBytes, SiteId Site) {
-  size_t Bytes = objectSizeFor(NumRefs, PayloadBytes);
   StallInfo SI;
-  uintptr_t Addr = allocRaw(Bytes, SI, Site);
-  if (!Addr) {
-    Out.Slot.store(NullOop, std::memory_order_release);
-    return AllocStatus::HeapExhausted;
-  }
-  initializeObject(Addr, static_cast<uint32_t>(Bytes / 8), Cls, NumRefs,
-                   OF_None, 0);
-  Ctx.probeStore(Addr, HeaderBytes);
-  Out.Slot.store(Heap.makeGood(Addr), std::memory_order_release);
-  return AllocStatus::Ok;
+  uintptr_t Addr = allocObject(objectSizeFor(NumRefs, PayloadBytes), SI,
+                               Site, Cls, NumRefs, OF_None, 0);
+  Out.Slot.store(Addr ? Heap.makeGood(Addr) : NullOop,
+                 std::memory_order_release);
+  return Addr ? AllocStatus::Ok : AllocStatus::HeapExhausted;
 }
 
 void Mutator::allocateSized(Root &Out, ClassId Cls, uint8_t NumRefs,
                             size_t PayloadBytes, SiteId Site) {
   size_t Bytes = objectSizeFor(NumRefs, PayloadBytes);
   StallInfo SI;
-  uintptr_t Addr = allocRaw(Bytes, SI, Site);
+  uintptr_t Addr = allocObject(Bytes, SI, Site, Cls, NumRefs, OF_None, 0);
   if (HCSGC_UNLIKELY(!Addr))
     throw HeapExhaustedError(Bytes, SI.Attempts, SI.CyclesWaited);
-  initializeObject(Addr, static_cast<uint32_t>(Bytes / 8), Cls, NumRefs,
-                   OF_None, 0);
-  Ctx.probeStore(Addr, HeaderBytes);
   Out.Slot.store(Heap.makeGood(Addr), std::memory_order_release);
 }
 
 AllocStatus Mutator::tryAllocateRefArray(Root &Out, uint32_t Length,
                                          SiteId Site) {
-  size_t Bytes = refArraySizeFor(Length);
   StallInfo SI;
-  uintptr_t Addr = allocRaw(Bytes, SI, Site);
-  if (!Addr) {
-    Out.Slot.store(NullOop, std::memory_order_release);
-    return AllocStatus::HeapExhausted;
-  }
-  initializeObject(Addr, static_cast<uint32_t>(Bytes / 8),
-                   ClassRegistry::RefArrayClass, 0, OF_RefArray, Length);
-  Ctx.probeStore(Addr, HeaderBytes + 8);
-  Out.Slot.store(Heap.makeGood(Addr), std::memory_order_release);
-  return AllocStatus::Ok;
+  uintptr_t Addr = allocObject(refArraySizeFor(Length), SI, Site,
+                               ClassRegistry::RefArrayClass, 0,
+                               OF_RefArray, Length);
+  Out.Slot.store(Addr ? Heap.makeGood(Addr) : NullOop,
+                 std::memory_order_release);
+  return Addr ? AllocStatus::Ok : AllocStatus::HeapExhausted;
 }
 
 void Mutator::allocateRefArray(Root &Out, uint32_t Length, SiteId Site) {
   size_t Bytes = refArraySizeFor(Length);
   StallInfo SI;
-  uintptr_t Addr = allocRaw(Bytes, SI, Site);
+  uintptr_t Addr = allocObject(Bytes, SI, Site, ClassRegistry::RefArrayClass,
+                               0, OF_RefArray, Length);
   if (HCSGC_UNLIKELY(!Addr))
     throw HeapExhaustedError(Bytes, SI.Attempts, SI.CyclesWaited);
-  initializeObject(Addr, static_cast<uint32_t>(Bytes / 8),
-                   ClassRegistry::RefArrayClass, 0, OF_RefArray, Length);
-  Ctx.probeStore(Addr, HeaderBytes + 8);
   Out.Slot.store(Heap.makeGood(Addr), std::memory_order_release);
 }
 
@@ -452,4 +441,11 @@ uint32_t Mutator::numRefs(const Root &Obj) {
   uintptr_t Addr = resolveNonNull(Obj);
   Ctx.probeLoad(Addr, HeaderBytes);
   return ObjectView(Addr).numRefs();
+}
+
+SiteId Mutator::siteOf(const Root &Obj) {
+  poll();
+  uintptr_t Addr = resolveNonNull(Obj);
+  Ctx.probeLoad(Addr, HeaderBytes);
+  return Heap.pageTable().lookup(Addr)->siteOf(Addr);
 }

@@ -115,8 +115,8 @@ public:
   // Every allocation entry point takes an optional allocation-site id
   // (tag call sites with HCSGC_ALLOC_SITE("name"); the default leaves
   // the allocation anonymous, so existing callers compile unchanged).
-  // With SITEPROFILING on, tagged small allocations are stamped into
-  // the page's site side table, accounted in the site profile, and —
+  // With SITEPROFILING on, tagged small allocations carry the site in
+  // their header (bits 57-63), are accounted in the site profile, and —
   // once the site's profile proves it persistently cold — routed to a
   // warm/cold-tier page through the per-thread pretenure TLAB
   // (INTERNALS §13). Without the knob a tag costs nothing beyond the
@@ -189,6 +189,8 @@ public:
 
   ClassId classOf(const Root &Obj);
   uint32_t numRefs(const Root &Obj);
+  /// Allocation site stamped in \p Obj's header (Page::siteOf).
+  SiteId siteOf(const Root &Obj);
 
   // --- GC interaction -----------------------------------------------------------
 
@@ -222,21 +224,22 @@ private:
   uintptr_t resolve(const Root &R);
   uintptr_t resolveNonNull(const Root &R);
 
-  /// Stall diagnostics of the most recent allocRaw slow path, reported
+  /// Stall diagnostics of the most recent allocObject slow path, reported
   /// through HeapExhaustedError on failure.
   struct StallInfo {
     unsigned Attempts = 0;
     uint64_t CyclesWaited = 0;
   };
 
-  /// Allocates zeroed object memory through three explicit tiers — fast
-  /// (TLAB bump, no locks), mid (page refill, one shard lock), slow
-  /// (GC-assisted stall/backoff) — see INTERNALS §10. \p Site routes
-  /// cold-profiled small allocations through the pretenure TLAB and is
-  /// stamped into the destination page's site table. \returns 0 once
-  /// every stall retry (including the final emergency cycle) failed;
-  /// never aborts.
-  uintptr_t allocRaw(size_t Bytes, StallInfo &SI, SiteId Site);
+  /// Allocates \p Bytes through three explicit tiers — fast (TLAB bump,
+  /// no locks), mid (page refill, one shard lock), slow (GC-assisted
+  /// stall/backoff), see INTERNALS §10 — and writes the header. \p Site
+  /// routes cold-profiled small allocations through the pretenure TLAB
+  /// and is stamped into the header. \returns 0 once every stall retry
+  /// (including the final emergency cycle) failed; never aborts.
+  uintptr_t allocObject(size_t Bytes, StallInfo &SI, SiteId Site,
+                        ClassId Cls, uint8_t NumRefs, uint8_t Flags,
+                        uint32_t ArrayLength);
   /// Pretenure tier: bump into (or refill) the secondary cold/warm TLAB
   /// for a site routed off the hot path. Best-effort — \returns 0 when
   /// the refill is denied, and the caller falls back to the normal path.

@@ -228,6 +228,29 @@ std::vector<SiteDigest> runSeededSiteWorkload() {
 
 } // namespace
 
+TEST(SiteProfileTest, SeededProfileMatchesPinnedDigest) {
+  // EqualSeedsProduceIdenticalProfiles compares a build with itself, so
+  // a stamp the allocation or relocation path silently drops (say, on
+  // the tagged ref arrays) would pass it. These literals were printed by
+  // the side-table implementation of site stamps; the header-bit stamps
+  // must attribute every byte the same way.
+  const std::vector<SiteDigest> Pinned = {
+      {"sp.det.table", 2080, 8320, SiteRoute::Hot},
+      {"sp.det.archived", 92616, 60792, SiteRoute::Hot},
+      {"sp.det.touched", 89624, 61200, SiteRoute::Hot},
+      {"sp.det.scratch", 89760, 0, SiteRoute::Cold},
+  };
+  std::vector<SiteDigest> Got = runSeededSiteWorkload();
+  std::string Printed;
+  for (const SiteDigest &D : Got)
+    Printed += D.Name + " alloc=" + std::to_string(D.AllocatedBytes) +
+               " survived=" + std::to_string(D.SurvivedBytes) +
+               " route=" + siteRouteName(D.Route) + "\n";
+  ASSERT_EQ(Got.size(), Pinned.size()) << Printed;
+  for (size_t I = 0; I < Pinned.size(); ++I)
+    EXPECT_TRUE(Got[I] == Pinned[I]) << Printed;
+}
+
 TEST(SiteProfileTest, EqualSeedsProduceIdenticalProfiles) {
   std::vector<SiteDigest> A = runSeededSiteWorkload();
   std::vector<SiteDigest> B = runSeededSiteWorkload();
@@ -353,4 +376,67 @@ TEST(SiteProfileTest, RetiredPretenurePageStaysPinnedUntilNextStw1) {
   M.reset();
   VerifyResult V = RT.verifyHeap();
   EXPECT_TRUE(V.ok()) << (V.Errors.empty() ? "" : V.Errors.front());
+}
+
+TEST(SiteProfileTest, SiteSurvivesRelocation) {
+  // The site rides in the object header, which relocation copies: a
+  // tagged small object keeps its site across a GC-thread move and
+  // across a mutator move in the LAZYRELOCATE window. Untagged, medium
+  // and profiling-off objects read unknown.
+  for (bool Lazy : {false, true}) {
+    SCOPED_TRACE(Lazy ? "lazy (mutator relocation)" : "eager (GC relocation)");
+    GcConfig Cfg = pretenureConfig();
+    Cfg.RelocateAllSmallPages = true;
+    Cfg.LazyRelocate = Lazy;
+    Runtime RT(Cfg);
+    ClassId Obj = RT.registerClass("sp.reloc.Obj", 0, 24);
+    ClassId Big = RT.registerClass(
+        "sp.reloc.Big", 0,
+        static_cast<uint32_t>(Cfg.Geometry.smallObjectMax() + 1024));
+    auto M = RT.attachMutator();
+    SiteId Tagged = HCSGC_ALLOC_SITE("sp.reloc.tagged");
+    {
+      // Only the array is a root: STW3 relocates root referents on GC
+      // threads, so the elements are left for the mutator's barrier.
+      Root Arr(*M), Tmp(*M);
+      M->allocateRefArray(Arr, 3);
+      M->allocate(Tmp, Obj, Tagged);
+      M->storeElem(Arr, 0, Tmp);
+      const uintptr_t Before = oopAddr(Tmp.rawOop());
+      M->allocate(Tmp, Obj);
+      M->storeElem(Arr, 1, Tmp);
+      M->allocate(Tmp, Big, Tagged);
+      M->storeElem(Arr, 2, Tmp);
+      M->clearRoot(Tmp);
+
+      M->requestGcAndWait();
+      Page *Src = RT.heap().pageTable().lookup(Before);
+      ASSERT_NE(Src, nullptr);
+      M->loadElem(Arr, 0, Tmp);
+      EXPECT_EQ(M->siteOf(Tmp), Tagged);
+      EXPECT_NE(oopAddr(Tmp.rawOop()), Before) << "object did not move";
+      EXPECT_GT(Lazy ? Src->relocOutBytesMutator() : Src->relocOutBytesGc(),
+                0u);
+      M->loadElem(Arr, 1, Tmp);
+      EXPECT_EQ(M->siteOf(Tmp), UnknownSiteId) << "untagged";
+      M->loadElem(Arr, 2, Tmp);
+      EXPECT_EQ(M->siteOf(Tmp), UnknownSiteId) << "medium";
+      M->requestGcAndWait(); // drains the lazy window
+      M->loadElem(Arr, 0, Tmp);
+      EXPECT_EQ(M->siteOf(Tmp), Tagged);
+    }
+    M.reset();
+  }
+
+  GcConfig Off = pretenureConfig();
+  Off.SiteProfiling = false;
+  Runtime RT(Off);
+  ClassId Obj = RT.registerClass("sp.off.Obj", 0, 24);
+  auto M = RT.attachMutator();
+  {
+    Root Tmp(*M);
+    M->allocate(Tmp, Obj, HCSGC_ALLOC_SITE("sp.reloc.tagged"));
+    EXPECT_EQ(M->siteOf(Tmp), UnknownSiteId) << "profiling off";
+  }
+  M.reset();
 }

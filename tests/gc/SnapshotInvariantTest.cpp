@@ -245,6 +245,30 @@ TEST(SnapshotInvariantTest, CaptureAcquiresNoShardLocks) {
   EXPECT_GT(RT.metrics().counterValue("snapshot.pages_recorded"), 0u);
 }
 
+TEST(SnapshotInvariantTest, CensusSamplesSideTableBytesOncePerCycle) {
+  // heap.side_table_bytes rides the census: one sample per cycle, equal
+  // to the side metadata of the pages that census saw.
+  Runtime RT(snapConfig(0.5));
+  runMixedWorkload(RT);
+  RT.driver().waitIdle();
+  const Histogram *H = RT.metrics().findHistogram("heap.side_table_bytes");
+  ASSERT_NE(H, nullptr);
+  EXPECT_EQ(H->count(), RT.gcStats().cycleCount());
+
+  // On the idle heap no page is released between the walk and the
+  // reads below.
+  uint64_t SumBefore = H->sum();
+  RT.heap().takeCensus(RT.heap().currentCycle());
+  uint64_t Expected = 0;
+  for (const CensusRow &Row : RT.heap().census().Rows) {
+    // No temperature plane: livemap + hotmap, 2 bits per granule.
+    EXPECT_EQ(Row.P->sideTableBytes(), Row.Rec.PageSize / 32);
+    Expected += Row.P->sideTableBytes();
+  }
+  EXPECT_GT(Expected, 0u);
+  EXPECT_EQ(H->sum() - SumBefore, Expected);
+}
+
 TEST(SnapshotInvariantTest, TemperatureCapturesRecomputeAndReplay) {
   // With TEMPERATURE on, every small-page WLB in the log must recompute
   // exactly through the generalized per-tier formula, the recorded tier

@@ -75,10 +75,60 @@ TEST(ObjectModelTest, SlotWritesVisibleThroughView) {
 }
 
 TEST(ObjectModelTest, MaxFieldValues) {
-  uint64_t H = makeHeader(0xffffffffu, 0xffff, 0xff, 0xff);
+  // Every field at its maximum round-trips, the site included.
+  uint64_t H = makeHeader(0xffffffffu, 0xffff, 0xff, OF_RefArray,
+                          MaxHeaderSite);
+  EXPECT_EQ(H, ~uint64_t(0)) << "the fields tile the header word";
   alignas(8) uint64_t Buf[2] = {H, 0};
   ObjectView V(reinterpret_cast<uintptr_t>(Buf));
   EXPECT_EQ(V.sizeWords(), 0xffffffffu);
   EXPECT_EQ(V.classId(), 0xffff);
-  EXPECT_EQ(V.flags(), 0xff);
+  EXPECT_TRUE(V.isRefArray());
+  EXPECT_EQ(V.site(), 127);
+  EXPECT_EQ(MaxHeaderSite, 127);
+  // A ref array's slot count is its length word; the inline count
+  // round-trips on a regular object.
+  alignas(8) uint64_t Reg[1] = {
+      makeHeader(0xffffffffu, 0xffff, 0xff, OF_None, MaxHeaderSite)};
+  ObjectView R(reinterpret_cast<uintptr_t>(Reg));
+  EXPECT_EQ(R.numRefs(), 0xffu);
+  EXPECT_FALSE(R.isRefArray());
+  EXPECT_EQ(R.site(), 127);
+}
+
+TEST(ObjectModelTest, SiteBitsLeaveOtherFieldsAlone) {
+  // Any site, including the largest, leaves every other field as the
+  // site-free header has it.
+  for (uint8_t Flags : {uint8_t(OF_None), uint8_t(OF_RefArray)})
+    for (SiteId Site : {SiteId(0), SiteId(1), SiteId(64), MaxHeaderSite}) {
+      alignas(8) uint64_t Plain[2] = {
+          makeHeader(0xffffffffu, 0xffff, 0xff, Flags), 0};
+      alignas(8) uint64_t Sited[2] = {
+          makeHeader(0xffffffffu, 0xffff, 0xff, Flags, Site), 0};
+      ObjectView P(reinterpret_cast<uintptr_t>(Plain));
+      ObjectView S(reinterpret_cast<uintptr_t>(Sited));
+      EXPECT_EQ(S.site(), Site);
+      EXPECT_EQ(P.site(), UnknownSiteId);
+      EXPECT_EQ(S.sizeWords(), P.sizeWords());
+      EXPECT_EQ(S.classId(), P.classId());
+      EXPECT_EQ(S.isRefArray(), P.isRefArray());
+      EXPECT_EQ(S.isRefArray(), Flags == OF_RefArray);
+      if (!S.isRefArray()) {
+        EXPECT_EQ(S.numRefs(), P.numRefs());
+      }
+    }
+}
+
+TEST(ObjectModelTest, SitesPastHeaderCapacityStampUnknown) {
+  // The profile table maps these ids to its unknown slot anyway.
+  for (SiteId Site : {SiteId(MaxHeaderSite + 1), SiteId(0xffff)}) {
+    alignas(8) uint64_t Buf[1];
+    initializeObject(reinterpret_cast<uintptr_t>(Buf), 4, 3, 1, OF_None, 0,
+                     Site);
+    ObjectView V(reinterpret_cast<uintptr_t>(Buf));
+    EXPECT_EQ(V.site(), UnknownSiteId);
+    EXPECT_EQ(V.sizeWords(), 4u);
+    EXPECT_EQ(V.classId(), 3);
+    EXPECT_EQ(V.numRefs(), 1u);
+  }
 }

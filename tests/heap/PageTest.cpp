@@ -200,6 +200,30 @@ protected:
 
 } // namespace
 
+TEST_F(TempPageTest, SideTablesCostBitsPerGranule) {
+  // Livemap + hotmap: 2 bits per 8-byte granule (3.125% of the page);
+  // the temperature plane adds 4 (6.25%). Sites live in object headers.
+  const size_t Granules = Size / ObjectAlignment;
+  Page Plain(Begin, Size, PageSizeClass::Small, /*Seq=*/3);
+  EXPECT_EQ(Plain.sideTableBytes(), Granules * 2 / 8);
+  EXPECT_EQ(P.sideTableBytes(), Granules * 6 / 8);
+  Page Sited(Begin, Size, PageSizeClass::Small, /*Seq=*/3,
+             /*TrackTemp=*/true, /*TrackSites=*/true);
+  EXPECT_EQ(Sited.sideTableBytes(), P.sideTableBytes());
+}
+
+TEST_F(TempPageTest, SiteOfReadsTheHeaderOnTrackedPagesOnly) {
+  Page Sited(Begin, Size, PageSizeClass::Small, /*Seq=*/3,
+             /*TrackTemp=*/false, /*TrackSites=*/true);
+  uintptr_t A = Sited.allocate(32);
+  initializeObject(A, 4, /*Cls=*/1, 0, OF_None, 0, /*Site=*/42);
+  EXPECT_TRUE(Sited.tracksSites());
+  EXPECT_EQ(Sited.siteOf(A), 42);
+  Page Plain(Begin, Size, PageSizeClass::Small, /*Seq=*/3);
+  EXPECT_FALSE(Plain.tracksSites());
+  EXPECT_EQ(Plain.siteOf(A), UnknownSiteId);
+}
+
 TEST_F(TempPageTest, UntrackedPageHasNoTemperaturePlane) {
   Page Plain(Begin, Size, PageSizeClass::Small, /*Seq=*/3);
   EXPECT_FALSE(Plain.tracksTemperature());

@@ -73,18 +73,34 @@ struct TortureClasses {
   ClassId Large;  ///< 0 refs, payload sized for a large page.
 };
 
-/// Stamps the self-validating checksum: payload word 0 is a tag, word 1
-/// its SplitMix64 image. Any misdirected relocation, lost update or
-/// premature reclaim shows up as a mismatch.
-void stampObject(Mutator &M, Root &Obj, uint64_t Tag) {
+/// Allocation sites of the small and node allocations, so seed bit 8
+/// (SiteProfiling) stamps headers that relocation must carry along.
+struct TortureSites {
+  SiteId Small = HCSGC_ALLOC_SITE("torture.small");
+  SiteId Node = HCSGC_ALLOC_SITE("torture.node");
+  SiteId Shared = HCSGC_ALLOC_SITE("torture.shared");
+};
+
+/// Stamps the self-validating checksum: payload word 0 is a tag whose top
+/// 16 bits record the object's allocation site, word 1 its SplitMix64
+/// image. Any misdirected relocation, lost update or premature reclaim
+/// shows up as a mismatch.
+void stampObject(Mutator &M, Root &Obj, uint64_t Tag,
+                 SiteId Site = UnknownSiteId) {
+  Tag = (Tag & ~(uint64_t(0xFFFF) << 48)) | (uint64_t(Site) << 48);
   M.storeWord(Obj, 0, static_cast<int64_t>(Tag));
   M.storeWord(Obj, 1, static_cast<int64_t>(mix64(Tag)));
 }
 
-bool validateObject(Mutator &M, Root &Obj) {
+/// \returns an error, or nullptr when the checksum holds and the header
+/// carries the recorded site (with site stamping armed; unknown without).
+const char *validateObject(Mutator &M, Root &Obj, bool Stamps) {
   uint64_t Tag = static_cast<uint64_t>(M.loadWord(Obj, 0));
   uint64_t Img = static_cast<uint64_t>(M.loadWord(Obj, 1));
-  return Img == mix64(Tag);
+  if (Img != mix64(Tag))
+    return "checksum mismatch";
+  SiteId Expected = Stamps ? static_cast<SiteId>(Tag >> 48) : UnknownSiteId;
+  return M.siteOf(Obj) == Expected ? nullptr : "site mismatch";
 }
 
 struct ThreadResult {
@@ -103,6 +119,13 @@ void tortureThread(Runtime &RT, const TortureClasses &Cls,
   auto M = RT.attachMutator();
   SplitMix64 Rng(Seed);
   Root Arr(*M), SharedArr(*M), Tmp(*M), Ref(*M);
+  const TortureSites Sites;
+  const bool Stamps = RT.heap().siteProfile() != nullptr;
+  auto Validate = [&](const char *Slot) {
+    ++Res.Validated;
+    if (const char *Err = validateObject(*M, Tmp, Stamps))
+      Res.Error = std::string(Slot) + "-slot " + Err;
+  };
 
   // Own array: this thread's private root set. On the tiniest
   // geometries a starting thread can lose the allocation race to its
@@ -136,15 +159,15 @@ void tortureThread(Runtime &RT, const TortureClasses &Cls,
     try {
       if (Dice < 40) {
         // Small validated object into a random own slot.
-        M->allocate(Tmp, Cls.Small);
-        stampObject(*M, Tmp, Tag);
+        M->allocate(Tmp, Cls.Small, Sites.Small);
+        stampObject(*M, Tmp, Tag, Sites.Small);
         M->storeElem(Arr, static_cast<uint32_t>(Rng.nextBelow(OwnSlots)),
                      Tmp);
       } else if (Dice < 50) {
         // Graph node: validated payload plus two edges into the own
         // array, so marking and relocation chase real pointers.
-        M->allocate(Tmp, Cls.Node);
-        stampObject(*M, Tmp, Tag);
+        M->allocate(Tmp, Cls.Node, Sites.Node);
+        stampObject(*M, Tmp, Tag, Sites.Node);
         for (uint32_t E = 0; E < 2; ++E) {
           M->loadElem(Arr, static_cast<uint32_t>(Rng.nextBelow(OwnSlots)),
                       Ref);
@@ -158,26 +181,20 @@ void tortureThread(Runtime &RT, const TortureClasses &Cls,
         M->loadGlobal(*Shared, SharedArr);
         uint32_t Idx = static_cast<uint32_t>(Rng.nextBelow(SharedSlots));
         if (Dice < 54) {
-          M->allocate(Tmp, Cls.Small);
-          stampObject(*M, Tmp, Tag);
+          M->allocate(Tmp, Cls.Small, Sites.Shared);
+          stampObject(*M, Tmp, Tag, Sites.Shared);
           M->storeElem(SharedArr, Idx, Tmp);
         } else {
           M->loadElem(SharedArr, Idx, Tmp);
-          if (!Tmp.isNull()) {
-            ++Res.Validated;
-            if (!validateObject(*M, Tmp))
-              Res.Error = "shared-slot checksum mismatch";
-          }
+          if (!Tmp.isNull())
+            Validate("shared");
         }
       } else if (Dice < 72) {
         // Validate a random own slot.
         M->loadElem(Arr, static_cast<uint32_t>(Rng.nextBelow(OwnSlots)),
                     Tmp);
-        if (!Tmp.isNull()) {
-          ++Res.Validated;
-          if (!validateObject(*M, Tmp))
-            Res.Error = "own-slot checksum mismatch";
-        }
+        if (!Tmp.isNull())
+          Validate("own");
       } else if (Dice < 82) {
         // Make garbage.
         M->storeElemNull(Arr,
@@ -196,11 +213,12 @@ void tortureThread(Runtime &RT, const TortureClasses &Cls,
                      Tmp);
       } else if (Dice < 95) {
         // Non-throwing API coverage.
-        if (M->tryAllocate(Tmp, Cls.Small) == AllocStatus::HeapExhausted) {
+        if (M->tryAllocate(Tmp, Cls.Small, Sites.Small) ==
+            AllocStatus::HeapExhausted) {
           ++Res.Exhausted;
           Relieve();
         } else {
-          stampObject(*M, Tmp, Tag);
+          stampObject(*M, Tmp, Tag, Sites.Small);
           M->storeElem(Arr,
                        static_cast<uint32_t>(Rng.nextBelow(OwnSlots)),
                        Tmp);
