@@ -427,8 +427,8 @@ void GcDriver::runCycle(bool Emergency) {
   HCSGC_INJECT_DELAY(PhaseDelay);
 
   // The post-mark census: one walk reads every page's mark counters
-  // (and, under TEMPERATURE, folds its livemap into tier bytes). Both
-  // snapshots, EC selection and cold adoption below read its rows.
+  // (and, under TEMPERATURE, folds its livemap into tier bytes). EC
+  // selection, the cycle's snapshot and cold adoption below read its rows.
   Heap.takeCensus(Rec.Cycle);
   if (Cfg.Temperature) {
     // Tier 2-3 objects were referenced recently enough to count as hot;
@@ -439,31 +439,24 @@ void GcDriver::runCycle(bool Emergency) {
     Met.TempColdBytes->add(Tiers[0]);
   }
 
-  // Observatory capture point 1: livemaps/hotmaps are final, nothing has
-  // been reclaimed or selected yet.
-  Heap.captureSnapshot(SnapshotPoint::AfterMark, nullptr);
-
   // Marking healed every reachable slot, so forwarding tables from the
   // previous cycle can never be consulted again: retire quarantined pages
   // and reuse their address ranges.
   // One batched pass per cycle: each shard's lock is taken at most once.
   Heap.allocator().releaseQuarantinedBefore(Rec.Cycle);
 
-  // Concurrent EC selection, audited when the observatory is armed.
-  EcAudit Audit;
-  bool WantAudit = Heap.snapshotter().enabled();
-  EcSet Ec = selectEvacuationCandidates(Heap, CoordCtx,
-                                        WantAudit ? &Audit : nullptr);
+  // Concurrent EC selection; its verdicts land on the census rows.
+  EcSet Ec = selectEvacuationCandidates(Heap, CoordCtx);
   Rec.SmallPagesInEc = Ec.SmallCount;
   Rec.MediumPagesInEc = Ec.MediumCount;
   Rec.EmptyPagesReclaimed = Ec.EmptyReclaimed;
   Rec.LiveBytesMarked = Ec.LiveBytesTotal;
   Rec.HotBytesMarked = Ec.HotBytesTotal;
 
-  // Observatory capture point 2: the census rows with EC's verdicts
-  // applied (selected pages are RelocSource, dead ones gone); the audit
-  // rides along.
-  Heap.captureSnapshot(SnapshotPoint::AfterEc, WantAudit ? &Audit : nullptr);
+  // The observatory's one capture per cycle: every census row in its
+  // pre-EC state with EC's verdict, before the auto-tuner moves the
+  // confidence the weights were computed under.
+  Heap.captureSnapshot();
 
   // §4.8 feedback loop (future work in the paper, implemented here as an
   // optional knob): steer COLDCONFIDENCE toward the cold fraction of the
@@ -510,7 +503,7 @@ void GcDriver::runCycle(bool Emergency) {
   // cold-resident bytes: live data the OS could page out first.
   if (Cfg.Temperature && Cfg.ColdPage) {
     for (const CensusRow &Row : Heap.census().Rows)
-      if (Row.AdoptCold && Row.Verdict != EcVerdict::Selected)
+      if (Row.AdoptCold && Row.Rec.Verdict != EcVerdict::Selected)
         Heap.allocator().notePageTier(Row.P, PageTier::Cold);
     Met.ColdResidentBytes->record(Heap.allocator().coldPageBytes());
   }

@@ -60,8 +60,8 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
     if (!WithinBudget && !NeedMemory)
       break;
     Sum += C.Weight;
-    // The census values (what the audit records), so the replay performs
-    // identical arithmetic.
+    // The census values (what the snapshot records), so the replay
+    // performs identical arithmetic.
     Freed += static_cast<double>(C.Row->Rec.PageSize) -
              static_cast<double>(C.Row->Rec.LiveBytes);
     Out.push_back(C);
@@ -69,35 +69,13 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
   }
 }
 
-/// \returns the audit record of a row EC selection judged: the inputs it
-/// read and its verdict. Tier bytes are an input only for small
-/// candidates (not pinned, not dead) under TEMPERATURE.
-static EcAuditEntry auditEntryOf(const CensusRow &Row, bool Temperature) {
-  const PageRecord &R = Row.Rec;
-  EcAuditEntry E;
-  E.PageBegin = R.PageBegin;
-  E.PageSize = R.PageSize;
-  E.LiveBytes = R.LiveBytes;
-  E.HotBytes = R.HotBytes;
-  E.Weight = Row.Weight;
-  if (Temperature && R.SizeClass == SnapSizeClass::Small && !R.Pinned &&
-      R.LiveBytes > 0)
-    for (unsigned T = 0; T < SnapTempTiers; ++T)
-      E.TempBytes[T] = R.TempBytes[T];
-  E.SizeClass = R.SizeClass;
-  E.Pinned = R.Pinned;
-  E.Verdict = Row.Verdict;
-  return E;
-}
-
-EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
-                                        EcAudit *Audit) {
+EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
   const GcConfig &Cfg = Heap.config();
   const HeapGeometry &Geo = Cfg.Geometry;
   PageCensus &Census = Heap.census();
   // The census read the confidence once: the auto-tuner can move it
   // between cycles, and every weight this selection computes (and the
-  // audit records) must use the same value so the offline replay is
+  // snapshot records) must use the same value so the offline replay is
   // bit-exact.
   const double EffCc = Census.ColdConfidence;
   EcSet Ec;
@@ -111,18 +89,18 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
   std::vector<Candidate> Small, Medium;
 
   for (CensusRow &Row : Census.Rows) {
-    const PageRecord &R = Row.Rec;
+    PageRecord &R = Row.Rec;
     // Only pages allocated prior to STW1 have trustworthy liveness info
-    // (§2.2: "all small pages that are allocated prior to STW1").
+    // (§2.2: "all small pages that are allocated prior to STW1"); the
+    // others keep the census's NotJudged verdict.
     if (R.AllocSeq >= Ec.Cycle)
       continue;
-    // Every decision (and the audit record) below is a function of the
-    // mark counters exactly as the census read them.
+    // Every decision (and the snapshot record) below is a function of
+    // the mark counters exactly as the census read them.
     const uint64_t Live = R.LiveBytes;
     const uint64_t Hot = R.HotBytes;
     Ec.LiveBytesTotal += Live;
     Ec.HotBytesTotal += Hot;
-    Row.Weight = 0.0;
 
     // A pinned pre-STW1 page is an in-use bump-allocation target that
     // survived resetAllocTargets — today that is exactly the persistent
@@ -131,10 +109,10 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
     // live ratio would otherwise make it a bargain candidate, churning
     // the very bytes pretenuring placed. It is also excluded from the
     // dead-page fast path: its liveBytes() can read 0 while a mutator
-    // is about to bump into it. The audit records the pin, and the
-    // offline replay skips pinned entries the same way.
+    // is about to bump into it. The snapshot records the pin, and the
+    // offline replay skips pinned pages the same way.
     if (R.Pinned) {
-      Row.Verdict = EcVerdict::PinnedSkipped;
+      R.Verdict = EcVerdict::PinnedSkipped;
       continue;
     }
 
@@ -142,7 +120,7 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       // Nothing on the page is reachable; reclaim without relocation.
       // This covers large pages too ("we can decide whether that large
       // page should be kept or reclaimed right away", §2.2).
-      Row.Verdict = EcVerdict::DeadReclaimed;
+      R.Verdict = EcVerdict::DeadReclaimed;
       ++Ec.EmptyReclaimed;
       HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
                   TraceEventKind::EcPageReclaimed, Ec.Cycle, R.PageBegin,
@@ -168,18 +146,18 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       if (Cfg.RelocateAllSmallPages) {
         // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
         // Candidates start as RejectedBudget and flip to Selected below;
-        // under RELOCATEALLSMALLPAGES everything flips. The audit records
-        // weight 0: no decision read it.
-        Row.Verdict = EcVerdict::RejectedBudget;
+        // under RELOCATEALLSMALLPAGES everything flips. The snapshot
+        // records weight 0: no decision read it.
+        R.Verdict = EcVerdict::RejectedBudget;
         Small.push_back({&Row, W});
         break;
       }
-      Row.Weight = W;
+      R.Weight = W;
       if (W / static_cast<double>(R.PageSize) <= Cfg.EvacLiveThreshold) {
-        Row.Verdict = EcVerdict::RejectedBudget;
+        R.Verdict = EcVerdict::RejectedBudget;
         Small.push_back({&Row, W});
       } else {
-        Row.Verdict = EcVerdict::RejectedThreshold;
+        R.Verdict = EcVerdict::RejectedThreshold;
       }
       break;
     }
@@ -191,18 +169,18 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       // pretenure TLAB, always a small page) was skipped by the pin
       // check above.
       double W = static_cast<double>(Live);
-      Row.Weight = W;
+      R.Weight = W;
       if (W / static_cast<double>(R.PageSize) <= Cfg.EvacLiveThreshold) {
-        Row.Verdict = EcVerdict::RejectedBudget;
+        R.Verdict = EcVerdict::RejectedBudget;
         Medium.push_back({&Row, W});
       } else {
-        Row.Verdict = EcVerdict::RejectedThreshold;
+        R.Verdict = EcVerdict::RejectedThreshold;
       }
       break;
     }
     case SnapSizeClass::Large:
-      Row.Weight = static_cast<double>(Live);
-      Row.Verdict = EcVerdict::LargeIgnored;
+      R.Weight = static_cast<double>(Live);
+      R.Verdict = EcVerdict::LargeIgnored;
       break; // Live large pages are never relocated.
     }
   }
@@ -211,58 +189,39 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
   // even if that exceeds the locality budget. Quarantined pages count as
   // occupied — evacuating into quarantine frees nothing until the end of
   // the next M/R, so demand must be met net of them.
-  double RequiredFree = reclamationDemand(
+  // The snapshot records the demand and budgets with the verdicts.
+  Census.RequiredFree = reclamationDemand(
       Heap.allocator().usedBytes(), Heap.allocator().quarantinedBytes(),
       Heap.allocator().maxHeapBytes(), Cfg.TriggerFraction);
 
   std::vector<Candidate> Selected;
-  double SmallBudget = 0.0;
   if (Cfg.RelocateAllSmallPages) {
     Ec.SmallCount = Small.size();
     Selected = std::move(Small);
   } else {
-    SmallBudget = Cfg.EvacBudgetFraction *
-                  static_cast<double>(Geo.SmallPageSize) *
-                  Cfg.EvacBudgetPages;
-    selectPrefix(Small, SmallBudget, RequiredFree, Selected,
+    Census.BudgetSmall = Cfg.EvacBudgetFraction *
+                         static_cast<double>(Geo.SmallPageSize) *
+                         Cfg.EvacBudgetPages;
+    selectPrefix(Small, Census.BudgetSmall, Census.RequiredFree, Selected,
                  Ec.SmallCount);
   }
-  double MediumBudget = Cfg.EvacBudgetFraction *
+  Census.BudgetMedium = Cfg.EvacBudgetFraction *
                         static_cast<double>(Geo.MediumPageSize) *
                         Cfg.EvacBudgetPages;
-  selectPrefix(Medium, MediumBudget, 0.0, Selected, Ec.MediumCount);
+  selectPrefix(Medium, Census.BudgetMedium, 0.0, Selected, Ec.MediumCount);
 
   // Install forwarding tables; mutators begin relocating these pages only
-  // after STW3 flips the good color to R. The row takes the page's new
-  // state, as the AfterEc snapshot records it.
+  // after STW3 flips the good color to R. The row keeps the page's
+  // pre-EC state: the verdict says it entered the relocation set.
   for (const Candidate &C : Selected) {
     CensusRow &Row = *C.Row;
-    Row.Verdict = EcVerdict::Selected;
-    Row.Rec.State = SnapPageState::RelocSource;
-    Row.Rec.EcSelected = 1;
-    Row.Rec.RelocOutBytesGc = Row.Rec.RelocOutBytesMutator = 0;
+    Row.Rec.Verdict = EcVerdict::Selected;
     Ec.Pages.push_back(Row.P);
     HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
                 TraceEventKind::EcPageSelected, Ec.Cycle, Row.Rec.PageBegin,
                 Row.Rec.LiveBytes, Row.Rec.HotBytes,
                 traceBitsFromDouble(C.Weight));
     Row.P->beginEvacuation();
-  }
-
-  if (Audit) {
-    Audit->Cycle = Ec.Cycle;
-    Audit->ColdConfidence = EffCc;
-    Audit->EvacLiveThreshold = Cfg.EvacLiveThreshold;
-    Audit->BudgetSmall = SmallBudget;
-    Audit->BudgetMedium = MediumBudget;
-    Audit->RequiredFree = RequiredFree;
-    Audit->Hotness = Cfg.Hotness ? 1 : 0;
-    Audit->RelocateAll = Cfg.RelocateAllSmallPages ? 1 : 0;
-    Audit->Temperature = Cfg.Temperature ? 1 : 0;
-    Audit->Entries.clear();
-    for (const CensusRow &Row : Census.Rows)
-      if (Row.Rec.AllocSeq < Ec.Cycle)
-        Audit->Entries.push_back(auditEntryOf(Row, Cfg.Temperature));
   }
 
   HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,

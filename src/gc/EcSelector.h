@@ -62,21 +62,19 @@ double reclamationDemand(size_t UsedBytes, size_t QuarantinedBytes,
 
 /// Runs EC selection over the rows of this cycle's page census
 /// (GcHeap::takeCensus) whose pages predate the cycle, writes each row's
-/// verdict, installs forwarding tables on the selected pages
-/// (transitioning them to RelocSource), and releases dead pages outright.
-/// \p Ctx is the calling thread's context (the cycle coordinator in
-/// production); selection decisions are traced through it, including
-/// the per-page WLB inputs the invariant tests check.
+/// verdict and weight and the census's budgets and reclamation demand,
+/// installs forwarding tables on the selected pages (transitioning them
+/// to RelocSource), and releases dead pages outright. \p Ctx is the
+/// calling thread's context (the cycle coordinator in production);
+/// selection decisions are traced through it, including the per-page
+/// WLB inputs the invariant tests check.
 ///
-/// When \p Audit is non-null the selector additionally records, per
-/// considered row, the exact WLB inputs it read and the accept/reject
-/// verdict, plus the knob values and budgets in force — enough for
-/// observe's replayEcSelection to re-run the decision offline and prove
-/// the §3.1.3 formula was honored (heapscope --replay, the snapshot
-/// invariant tests). Weights are computed through the same wlbFormula
-/// the replay uses, so the comparison is bit-exact.
-EcSet selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
-                                 EcAudit *Audit = nullptr);
+/// The rows then hold everything observe's replayEcSelection needs to
+/// re-run the decision offline and prove the §3.1.3 formula was honored
+/// (heapscope --replay, the snapshot invariant tests). Weights are
+/// computed through the same wlbFormula the replay uses, so the
+/// comparison is bit-exact.
+EcSet selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx);
 
 } // namespace hcsgc
 

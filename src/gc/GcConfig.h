@@ -127,14 +127,15 @@ struct GcConfig {
   /// Per-thread trace ring capacity in events. Overflow drops the newest
   /// events and counts them, it never blocks the hot path.
   size_t TraceBufferEvents = size_t(1) << 15;
-  /// Arm the heap locality observatory: the driver captures one per-page
-  /// snapshot after mark termination and one (with the EC decision
-  /// audit) after EC selection, into a bounded in-memory ring of
-  /// HeapSnapshotter::RingCaptures captures. Disabled capture costs one
+  /// Arm the heap locality observatory: after EC selection the driver
+  /// captures one per-page snapshot per cycle (the post-mark census, each
+  /// page carrying EC's verdict), into a bounded in-memory ring of
+  /// HeapSnapshotter::RingCaptures cycles. Disabled capture costs one
   /// relaxed load per cycle.
   bool SnapshotLogEnabled = false;
   /// When non-empty, every capture is additionally streamed to this file
-  /// as JSONL (one capture per line; see tools/heapscope).
+  /// as JSONL (one cycle per line; see tools/heapscope). A path that
+  /// cannot be opened is a fatal error at heap construction.
   std::string SnapshotLogPath;
 
   /// \returns true if knob dependencies hold (COLDPAGE, COLDCONFIDENCE,

@@ -56,7 +56,8 @@ GcHeap::GcHeap(const GcConfig &C)
   // Bind unconditionally so the snapshot.* names always exist in the
   // registry (the metrics catalog is config-independent).
   Snap.bindMetrics(Metrics);
-  Snap.configure(Cfg.SnapshotLogEnabled, Cfg.SnapshotLogPath);
+  if (!Snap.configure(Cfg.SnapshotLogEnabled, Cfg.SnapshotLogPath))
+    fatalError(("cannot open snapshot log " + Cfg.SnapshotLogPath).c_str());
   // site.* counters are created unconditionally (config-independent
   // catalog, same as snapshot.*); the table only exists — and only then
   // advances them — when the knob is on.
@@ -85,6 +86,7 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
   for (uint64_t &B : Census.TierBytes)
     B = 0;
   Census.Rows.clear();
+  Census.BudgetSmall = Census.BudgetMedium = Census.RequiredFree = 0.0;
   uint64_t SideBytes = 0;
   // Pages installed concurrently may be missed: they were allocated this
   // cycle, which EC selection and adoption exclude anyway, and a
@@ -108,7 +110,6 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
     R.SizeClass = static_cast<SnapSizeClass>(P.sizeClass());
     R.State = static_cast<SnapPageState>(P.state());
     R.Pinned = P.isPinnedAsTarget() ? 1 : 0;
-    R.EcSelected = R.State == SnapPageState::RelocSource ? 1 : 0;
     const bool Settled = R.AllocSeq < CensusCycle;
     if (Cfg.Temperature && P.tracksTemperature()) {
       uint64_t ProvenCold;
@@ -133,19 +134,23 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
   SideTableBytes->record(SideBytes);
 }
 
-void GcHeap::captureSnapshot(SnapshotPoint Point, const EcAudit *Audit) {
+void GcHeap::captureSnapshot() {
   if (!Snap.enabled())
     return;
   CycleSnapshot S;
   S.Cycle = Census.Cycle;
-  S.Point = Point;
   S.TimeNs = Trace.nowNs();
   S.ColdConfidence = Census.ColdConfidence;
+  S.EvacLiveThreshold = Cfg.EvacLiveThreshold;
+  S.BudgetSmall = Census.BudgetSmall;
+  S.BudgetMedium = Census.BudgetMedium;
+  S.RequiredFree = Census.RequiredFree;
   S.Hotness = Cfg.Hotness ? 1 : 0;
   S.Temperature = Cfg.Temperature ? 1 : 0;
+  S.RelocateAll = Cfg.RelocateAllSmallPages ? 1 : 0;
+  S.Pages.reserve(Census.Rows.size());
   for (const CensusRow &Row : Census.Rows)
-    if (Row.P)
-      S.Pages.push_back(Row.Rec);
+    S.Pages.push_back(Row.Rec);
   std::sort(S.Pages.begin(), S.Pages.end(),
             [](const PageRecord &A, const PageRecord &B) {
               return A.PageBegin < B.PageBegin;
@@ -164,10 +169,6 @@ void GcHeap::captureSnapshot(SnapshotPoint Point, const EcAudit *Audit) {
       R.Route = static_cast<uint8_t>(St.Route);
       S.Sites.push_back(std::move(R));
     }
-  }
-  if (Audit) {
-    S.HasAudit = true;
-    S.Audit = *Audit;
   }
   Snap.commit(std::move(S));
 }

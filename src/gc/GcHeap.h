@@ -177,21 +177,17 @@ private:
 struct CensusRow {
   /// The page; null once EC selection has released it as dead.
   Page *P = nullptr;
-  /// What the snapshots record: live/hot/tier bytes, WLB, state, pin.
-  /// EC selection applies its verdict (RelocSource, EC-selected), so the
-  /// AfterEc snapshot needs no second walk.
+  /// What the cycle's snapshot records: live/hot/tier bytes, WLB, state
+  /// and pin as the census read them, plus EC selection's verdict and
+  /// weight (set only on rows whose page predates the cycle).
   PageRecord Rec;
-  /// EC selection's verdict and the weight its audit records; set only
-  /// on rows whose page predates the cycle (Rec.AllocSeq < cycle).
-  EcVerdict Verdict = EcVerdict::RejectedThreshold;
-  double Weight = 0.0;
   /// Settled page whose whole live population has proven cold: it joins
   /// the cold tier unless EC selects it.
   bool AdoptCold = false;
 };
 
 /// The per-cycle page table one post-mark walk fills; reused across
-/// cycles. The snapshots, EC selection and cold adoption read it instead
+/// cycles. The snapshot, EC selection and cold adoption read it instead
 /// of walking the heap again.
 struct PageCensus {
   uint64_t Cycle = 0;
@@ -201,6 +197,11 @@ struct PageCensus {
   /// (TEMPERATURE only, else zeros).
   uint64_t TierBytes[Page::TempTiers] = {0, 0, 0, 0};
   std::vector<CensusRow> Rows;
+  /// The budgets and reclamation demand EC selection ran under (zero
+  /// until it runs).
+  double BudgetSmall = 0.0;
+  double BudgetMedium = 0.0;
+  double RequiredFree = 0.0;
 };
 
 /// Shared collector state.
@@ -253,11 +254,10 @@ public:
   void takeCensus(uint64_t CensusCycle);
   PageCensus &census() { return Census; }
 
-  /// Commits the census rows as one heap snapshot at \p Point to the
-  /// snapshotter's ring / JSONL stream, leaving out pages EC released.
-  /// No-op unless snapshot logging is armed. \p Audit, when non-null, is
-  /// the EC decision audit from this cycle's selection.
-  void captureSnapshot(SnapshotPoint Point, const EcAudit *Audit);
+  /// Commits the census, every row with EC's verdict, as this cycle's
+  /// snapshot to the snapshotter's ring / JSONL stream. No-op unless
+  /// snapshot logging is armed.
+  void captureSnapshot();
 
   // --- Colors and phase ----------------------------------------------------
 

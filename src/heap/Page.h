@@ -287,7 +287,7 @@ public:
   /// into it) nor become a relocation source. STW1's resetAllocTargets
   /// unpins everything except the pretenure TLAB, which fills across
   /// cycles; the EC selector therefore skips pinned pages outright and
-  /// records the pin in its audit.
+  /// records a pinned_skipped verdict.
   void pinAsTarget() {
     PinnedAsTarget.store(true, std::memory_order_release);
   }

@@ -27,6 +27,8 @@ const char *hcsgc::ecVerdictName(EcVerdict V) {
     return "pinned_skipped";
   case EcVerdict::LargeIgnored:
     return "large_ignored";
+  case EcVerdict::NotJudged:
+    return "not_judged";
   }
   return "unknown";
 }
@@ -101,56 +103,57 @@ static void replayPrefix(std::vector<ReplayCand> &Cands, double Budget,
   }
 }
 
-std::vector<uint64_t> hcsgc::replayEcSelection(const EcAudit &A) {
+std::vector<uint64_t> hcsgc::replayEcSelection(const CycleSnapshot &S) {
   std::vector<ReplayCand> Small, Medium;
   std::vector<uint64_t> Out;
-  for (const EcAuditEntry &E : A.Entries) {
-    // Dead pages are reclaimed without relocation; pinned pages are
-    // defensively skipped — neither reaches the candidate lists.
-    if (E.LiveBytes == 0 || E.Pinned)
+  for (const PageRecord &P : S.Pages) {
+    // Pages born this cycle have no final liveness; dead pages are
+    // reclaimed without relocation; pinned pages are defensively skipped
+    // — none of them reaches the candidate lists.
+    if (P.AllocSeq >= S.Cycle || P.LiveBytes == 0 || P.Pinned)
       continue;
-    switch (E.SizeClass) {
+    switch (P.SizeClass) {
     case SnapSizeClass::Small: {
-      if (A.RelocateAll) {
-        Small.push_back({E.PageBegin, E.PageSize, E.LiveBytes, 0.0});
+      if (S.RelocateAll) {
+        Small.push_back({P.PageBegin, P.PageSize, P.LiveBytes, 0.0});
         break;
       }
-      double W = A.Temperature
-                     ? wlbTempFormula(E.LiveBytes, E.TempBytes,
-                                      A.Hotness != 0, A.ColdConfidence)
-                     : wlbFormula(E.LiveBytes, E.HotBytes, A.Hotness != 0,
-                                  A.ColdConfidence);
-      if (W / static_cast<double>(E.PageSize) <= A.EvacLiveThreshold)
-        Small.push_back({E.PageBegin, E.PageSize, E.LiveBytes, W});
+      double W = S.Temperature
+                     ? wlbTempFormula(P.LiveBytes, P.TempBytes,
+                                      S.Hotness != 0, S.ColdConfidence)
+                     : wlbFormula(P.LiveBytes, P.HotBytes, S.Hotness != 0,
+                                  S.ColdConfidence);
+      if (W / static_cast<double>(P.PageSize) <= S.EvacLiveThreshold)
+        Small.push_back({P.PageBegin, P.PageSize, P.LiveBytes, W});
       break;
     }
     case SnapSizeClass::Medium: {
-      double W = static_cast<double>(E.LiveBytes);
-      if (W / static_cast<double>(E.PageSize) <= A.EvacLiveThreshold)
-        Medium.push_back({E.PageBegin, E.PageSize, E.LiveBytes, W});
+      double W = static_cast<double>(P.LiveBytes);
+      if (W / static_cast<double>(P.PageSize) <= S.EvacLiveThreshold)
+        Medium.push_back({P.PageBegin, P.PageSize, P.LiveBytes, W});
       break;
     }
     case SnapSizeClass::Large:
       break; // Live large pages are never relocated.
     }
   }
-  if (A.RelocateAll) {
+  if (S.RelocateAll) {
     // §3.1.1: every eligible small page, no sorting or budget.
     for (const ReplayCand &C : Small)
       Out.push_back(C.Begin);
   } else {
-    replayPrefix(Small, A.BudgetSmall, A.RequiredFree, Out);
+    replayPrefix(Small, S.BudgetSmall, S.RequiredFree, Out);
   }
-  replayPrefix(Medium, A.BudgetMedium, 0.0, Out);
+  replayPrefix(Medium, S.BudgetMedium, 0.0, Out);
   std::sort(Out.begin(), Out.end());
   return Out;
 }
 
-std::vector<uint64_t> hcsgc::auditSelectedPages(const EcAudit &A) {
+std::vector<uint64_t> hcsgc::selectedPages(const CycleSnapshot &S) {
   std::vector<uint64_t> Out;
-  for (const EcAuditEntry &E : A.Entries)
-    if (E.Verdict == EcVerdict::Selected)
-      Out.push_back(E.PageBegin);
+  for (const PageRecord &P : S.Pages)
+    if (P.Verdict == EcVerdict::Selected)
+      Out.push_back(P.PageBegin);
   std::sort(Out.begin(), Out.end());
   return Out;
 }
@@ -174,15 +177,17 @@ HeapSnapshotter::~HeapSnapshotter() {
     std::fclose(Stream);
 }
 
-void HeapSnapshotter::configure(bool Enabled, const std::string &JsonlPath) {
+bool HeapSnapshotter::configure(bool Enabled, const std::string &JsonlPath) {
   std::lock_guard<std::mutex> G(Lock);
   if (Stream) {
     std::fclose(Stream);
     Stream = nullptr;
   }
-  if (!JsonlPath.empty())
-    Stream = std::fopen(JsonlPath.c_str(), "w");
   EnabledFlag.store(Enabled, std::memory_order_relaxed);
+  if (JsonlPath.empty())
+    return true;
+  Stream = std::fopen(JsonlPath.c_str(), "w");
+  return Stream != nullptr;
 }
 
 void HeapSnapshotter::bindMetrics(MetricsRegistry &MR) {

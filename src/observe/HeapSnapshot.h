@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The heap locality observatory's data model: at each cycle boundary the
-/// driver captures one compact record per active page (live/hot bytes,
-/// WLB, state, pin, relocation attribution) plus — after EC selection —
-/// the selector's full decision audit: every candidate page's WLB inputs
+/// The heap locality observatory's data model: once per cycle, right
+/// after EC selection, the driver commits one compact record per page of
+/// the post-mark census (live/hot bytes, WLB, state, pin, relocation
+/// attribution) in its pre-EC state, each carrying the selector's verdict
+/// and weight, plus the knob values and budgets the selection ran under.
+/// That is EC's full decision record: every candidate page's WLB inputs
 /// and the accept/reject verdict. Snapshots land in a bounded in-memory
 /// ring and, optionally, stream to a JSONL file (SnapshotLog.h).
 ///
@@ -36,20 +38,6 @@
 #include <vector>
 
 namespace hcsgc {
-
-/// Where in the cycle a snapshot was taken.
-enum class SnapshotPoint : uint8_t {
-  /// Right after mark termination: livemaps/hotmaps are final for this
-  /// cycle, EC selection has not run yet.
-  AfterMark = 0,
-  /// Right after EC selection: selected pages are RelocSource, the
-  /// decision audit rides along.
-  AfterEc = 1,
-};
-
-inline const char *snapshotPointName(SnapshotPoint P) {
-  return P == SnapshotPoint::AfterMark ? "after_mark" : "after_ec";
-}
 
 /// Page size class as recorded in snapshots (mirrors PageSizeClass
 /// without including heap headers).
@@ -101,6 +89,9 @@ enum class EcVerdict : uint8_t {
   PinnedSkipped = 4,
   /// Live large page; never a relocation candidate.
   LargeIgnored = 5,
+  /// Allocated during the cycle (AllocSeq >= cycle): its liveness is not
+  /// final, so selection did not look at it.
+  NotJudged = 6,
 };
 
 const char *ecVerdictName(EcVerdict V);
@@ -150,52 +141,7 @@ inline const char *snapPageTierName(SnapPageTier T) {
   return "unknown";
 }
 
-/// One considered page in the EC decision audit: the exact inputs the
-/// selector saw and what it decided.
-struct EcAuditEntry {
-  uint64_t PageBegin = 0;
-  uint64_t PageSize = 0;
-  uint64_t LiveBytes = 0;
-  uint64_t HotBytes = 0;
-  /// The weight selection actually used: WLB for small pages, plain live
-  /// bytes for medium, 0.0 under RELOCATEALLSMALLPAGES.
-  double Weight = 0.0;
-  /// Per-tier live bytes the selector read when TEMPERATURE was on (all
-  /// zero otherwise); the replay recomputes Weight from these.
-  uint64_t TempBytes[SnapTempTiers] = {0, 0, 0, 0};
-  SnapSizeClass SizeClass = SnapSizeClass::Small;
-  uint8_t Pinned = 0;
-  EcVerdict Verdict = EcVerdict::RejectedThreshold;
-};
-
-/// One cycle's complete EC decision record: the knob values in force plus
-/// every considered page. Enough to re-run the selection offline.
-struct EcAudit {
-  uint64_t Cycle = 0;
-  double ColdConfidence = 0.0; ///< Effective value (auto-tuner aware).
-  double EvacLiveThreshold = 0.0;
-  double BudgetSmall = 0.0;  ///< 0 under RELOCATEALLSMALLPAGES.
-  double BudgetMedium = 0.0;
-  double RequiredFree = 0.0; ///< Reclamation demand (small pass only).
-  uint8_t Hotness = 0;
-  uint8_t RelocateAll = 0;
-  /// TEMPERATURE was on: small-page weights came from wlbTempFormula
-  /// over the per-entry TempBytes tiers.
-  uint8_t Temperature = 0;
-  std::vector<EcAuditEntry> Entries;
-};
-
-/// Re-runs EC selection from the audit's raw inputs alone — same filter,
-/// same (weight, address) sort, same budget/required-free prefix walk as
-/// gc/EcSelector.cpp, double-for-double. \returns the selected page
-/// begins, sorted ascending. Comparing against auditSelectedPages proves
-/// the live selector honored the recorded formula.
-std::vector<uint64_t> replayEcSelection(const EcAudit &A);
-
-/// \returns the page begins the audit says were selected, sorted.
-std::vector<uint64_t> auditSelectedPages(const EcAudit &A);
-
-/// One active page at capture time.
+/// One page of the post-mark census, in its state before EC selection.
 struct PageRecord {
   uint64_t PageBegin = 0;
   uint64_t PageSize = 0;
@@ -210,16 +156,20 @@ struct PageRecord {
   uint64_t RelocOutBytesMutator = 0;
   /// WLB under the effective COLDCONFIDENCE at capture.
   double Wlb = 0.0;
+  /// The weight selection actually used: WLB for small pages, plain live
+  /// bytes for medium and large, 0.0 under RELOCATEALLSMALLPAGES and on
+  /// dead, pinned and unjudged pages.
+  double Weight = 0.0;
   /// Per-temperature-tier live bytes (TEMPERATURE only, else zeros).
   uint64_t TempBytes[SnapTempTiers] = {0, 0, 0, 0};
   SnapSizeClass SizeClass = SnapSizeClass::Small;
   SnapPageState State = SnapPageState::Active;
   uint8_t Pinned = 0;
-  /// Currently a member of a relocation set (state == RelocSource).
-  uint8_t EcSelected = 0;
   /// Destination tier (SnapPageTier) if the page served as a relocation
   /// target; None otherwise.
   uint8_t Tier = 0;
+  /// EC selection's verdict on this page.
+  EcVerdict Verdict = EcVerdict::NotJudged;
 };
 
 /// One allocation site's cumulative profile at capture time
@@ -248,22 +198,36 @@ inline const char *snapSiteRouteName(uint8_t Route) {
   }
 }
 
-/// One capture: all active pages at one point of one cycle.
+/// One cycle: every census page with EC's verdict, the site profile,
+/// and the knob values and budgets the selection ran under.
 struct CycleSnapshot {
   uint64_t Cycle = 0;
-  SnapshotPoint Point = SnapshotPoint::AfterMark;
   uint64_t TimeNs = 0; ///< Trace-session clock at capture.
-  double ColdConfidence = 0.0;
+  double ColdConfidence = 0.0; ///< Effective value (auto-tuner aware).
+  double EvacLiveThreshold = 0.0;
+  double BudgetSmall = 0.0; ///< 0 under RELOCATEALLSMALLPAGES.
+  double BudgetMedium = 0.0;
+  double RequiredFree = 0.0; ///< Reclamation demand (small pass only).
   uint8_t Hotness = 0;
-  uint8_t Temperature = 0; ///< TEMPERATURE knob in force at capture.
+  /// TEMPERATURE was on: small-page weights came from wlbTempFormula
+  /// over the per-page TempBytes tiers.
+  uint8_t Temperature = 0;
+  uint8_t RelocateAll = 0;
   std::vector<PageRecord> Pages; ///< Sorted by PageBegin.
-  /// Per-site profile rows (SITEPROFILING only, else empty). Absent from
-  /// pre-site-schema logs — parsers treat a missing array as empty, so
-  /// the EC replay (which reads only Pages + Audit) is unaffected.
+  /// Per-site profile rows (SITEPROFILING only, else empty).
   std::vector<SiteRecord> Sites;
-  bool HasAudit = false; ///< True only at AfterEc with auditing on.
-  EcAudit Audit;
 };
+
+/// Re-runs EC selection from the snapshot's raw inputs alone — same
+/// filter (pages that predate the cycle, not pinned, not dead), same
+/// (weight, address) sort, same budget/required-free prefix walk as
+/// gc/EcSelector.cpp, double-for-double. \returns the selected page
+/// begins, sorted ascending. Comparing against selectedPages proves the
+/// live selector honored the recorded formula.
+std::vector<uint64_t> replayEcSelection(const CycleSnapshot &S);
+
+/// \returns the page begins whose recorded verdict is Selected, sorted.
+std::vector<uint64_t> selectedPages(const CycleSnapshot &S);
 
 /// Bounded FIFO of snapshots: pushing past the capacity drops the oldest
 /// capture and counts its page records as dropped.
@@ -286,15 +250,15 @@ private:
 };
 
 /// Owns the ring and the optional JSONL stream; the GcHeap holds one and
-/// the driver commits through it at the two capture points. The enabled
+/// the driver commits through it once per cycle. The enabled
 /// gate is one relaxed load, so a disabled observatory costs nothing on
 /// the cycle path. Commit/history synchronize on the snapshotter's own
 /// mutex only — capture itself never touches an allocator shard lock
 /// (asserted via alloc.shard.lock_acquisitions in the invariant tests).
 class HeapSnapshotter {
 public:
-  /// Captures retained in memory (2 per cycle when enabled); older ones
-  /// are dropped and counted in snapshot.dropped_records.
+  /// Captures retained in memory (one per cycle when enabled); older
+  /// ones are dropped and counted in snapshot.dropped_records.
   static constexpr size_t RingCaptures = 128;
 
   HeapSnapshotter() = default;
@@ -305,7 +269,8 @@ public:
 
   /// Applies the GcConfig::SnapshotLog* knobs: arms the ring and, when
   /// \p JsonlPath is non-empty, opens the streaming JSONL file.
-  void configure(bool Enabled, const std::string &JsonlPath);
+  /// \returns false if that file cannot be opened.
+  bool configure(bool Enabled, const std::string &JsonlPath);
 
   bool enabled() const {
     return EnabledFlag.load(std::memory_order_relaxed);

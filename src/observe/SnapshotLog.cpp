@@ -10,6 +10,7 @@
 #include "observe/Json.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -37,14 +38,17 @@ void appendPage(std::string &Out, const PageRecord &R) {
           R.RelocOutBytesGc, R.RelocOutBytesMutator);
   Out += ",\"wlb\":";
   appendDouble(Out, R.Wlb);
+  Out += ",\"weight\":";
+  appendDouble(Out, R.Weight);
   appendf(Out, ",\"t0\":%" PRIu64 ",\"t1\":%" PRIu64 ",\"t2\":%" PRIu64
                ",\"t3\":%" PRIu64,
           R.TempBytes[0], R.TempBytes[1], R.TempBytes[2], R.TempBytes[3]);
   appendf(Out, ",\"class\":\"%s\",\"state\":\"%s\",\"pinned\":%s,"
-               "\"ec\":%s,\"tier\":\"%s\"}",
+               "\"tier\":\"%s\",\"verdict\":\"%s\"}",
           snapSizeClassName(R.SizeClass), snapPageStateName(R.State),
-          R.Pinned ? "true" : "false", R.EcSelected ? "true" : "false",
-          snapPageTierName(static_cast<SnapPageTier>(R.Tier)));
+          R.Pinned ? "true" : "false",
+          snapPageTierName(static_cast<SnapPageTier>(R.Tier)),
+          ecVerdictName(R.Verdict));
 }
 
 /// Site names are code-chosen identifiers, but escape defensively so a
@@ -82,156 +86,158 @@ void appendSite(std::string &Out, const SiteRecord &R) {
   appendf(Out, ",\"route\":\"%s\"}", snapSiteRouteName(R.Route));
 }
 
-void appendAuditEntry(std::string &Out, const EcAuditEntry &E) {
-  Out += "{\"begin\":";
-  appendHex(Out, E.PageBegin);
-  appendf(Out, ",\"size\":%" PRIu64 ",\"live\":%" PRIu64
-               ",\"hot\":%" PRIu64,
-          E.PageSize, E.LiveBytes, E.HotBytes);
-  Out += ",\"weight\":";
-  appendDouble(Out, E.Weight);
-  appendf(Out, ",\"t0\":%" PRIu64 ",\"t1\":%" PRIu64 ",\"t2\":%" PRIu64
-               ",\"t3\":%" PRIu64,
-          E.TempBytes[0], E.TempBytes[1], E.TempBytes[2], E.TempBytes[3]);
-  appendf(Out, ",\"class\":\"%s\",\"pinned\":%s,\"verdict\":\"%s\"}",
-          snapSizeClassName(E.SizeClass), E.Pinned ? "true" : "false",
-          ecVerdictName(E.Verdict));
-}
+/// Strict member access for one JSON object: every reader fails on an
+/// absent member ("missing <key>") or a value of the wrong shape ("bad
+/// <key>: ..."), never defaulting it, so a truncated or foreign log is
+/// rejected at its first bad field instead of replaying zeros.
+class FieldReader {
+public:
+  FieldReader(const JsonValue &J, std::string &Error) : J(J), Error(Error) {}
 
-bool parseHexField(const JsonValue &V, uint64_t &Out) {
-  if (!V.isString())
-    return false;
-  Out = std::strtoull(V.string().c_str(), nullptr, 16);
-  return true;
-}
+  /// A byte count or counter: a non-negative integer below 2^64.
+  bool u64(const char *Key, uint64_t &Out) {
+    const JsonValue *V = get(Key);
+    if (!V)
+      return false;
+    double D = V->numberOr(-1.0);
+    if (D < 0.0 || D != std::floor(D) || D >= 18446744073709551616.0)
+      return bad(Key, "not a non-negative integer");
+    Out = static_cast<uint64_t>(D);
+    return true;
+  }
 
-uint64_t asU64(const JsonValue &V) {
-  return static_cast<uint64_t>(V.numberOr(0));
-}
+  bool number(const char *Key, double &Out) {
+    const JsonValue *V = get(Key);
+    if (!V)
+      return false;
+    if (!V->isNumber())
+      return bad(Key, "not a number");
+    Out = V->number();
+    return true;
+  }
 
-bool classFromName(const std::string &S, SnapSizeClass &Out) {
-  if (S == "small")
-    Out = SnapSizeClass::Small;
-  else if (S == "medium")
-    Out = SnapSizeClass::Medium;
-  else if (S == "large")
-    Out = SnapSizeClass::Large;
-  else
-    return false;
-  return true;
-}
+  bool flag(const char *Key, uint8_t &Out) {
+    const JsonValue *V = get(Key);
+    if (!V)
+      return false;
+    if (!V->isBool())
+      return bad(Key, "not a boolean");
+    Out = V->boolean() ? 1 : 0;
+    return true;
+  }
 
-bool stateFromName(const std::string &S, SnapPageState &Out) {
-  if (S == "active")
-    Out = SnapPageState::Active;
-  else if (S == "reloc_source")
-    Out = SnapPageState::RelocSource;
-  else if (S == "quarantined")
-    Out = SnapPageState::Quarantined;
-  else
-    return false;
-  return true;
-}
+  bool string(const char *Key, std::string &Out) {
+    const JsonValue *V = get(Key);
+    if (!V)
+      return false;
+    if (!V->isString())
+      return bad(Key, "not a string");
+    Out = V->string();
+    return true;
+  }
 
-/// Lenient: pre-temperature logs have no "tier" field (stringOr("")),
-/// which reads as None.
-bool tierFromName(const std::string &S, uint8_t &Out) {
-  if (S.empty() || S == "none")
-    Out = static_cast<uint8_t>(SnapPageTier::None);
-  else if (S == "hot")
-    Out = static_cast<uint8_t>(SnapPageTier::Hot);
-  else if (S == "warm")
-    Out = static_cast<uint8_t>(SnapPageTier::Warm);
-  else if (S == "cold")
-    Out = static_cast<uint8_t>(SnapPageTier::Cold);
-  else
-    return false;
-  return true;
-}
+  /// An address: "0x" and 1-16 hex digits, nothing else.
+  bool hex(const char *Key, uint64_t &Out) {
+    std::string S;
+    if (!string(Key, S))
+      return false;
+    size_t Digits = S.size() < 2 ? 0 : S.size() - 2;
+    if (S.compare(0, 2, "0x") != 0 || Digits == 0 || Digits > 16 ||
+        S.find_first_not_of("0123456789abcdefABCDEF", 2) !=
+            std::string::npos)
+      return bad(Key, "\"" + S + "\" is not a hex address");
+    Out = std::strtoull(S.c_str() + 2, nullptr, 16);
+    return true;
+  }
 
-bool verdictFromName(const std::string &S, EcVerdict &Out) {
-  for (unsigned V = 0;
-       V <= static_cast<unsigned>(EcVerdict::LargeIgnored); ++V)
-    if (S == ecVerdictName(static_cast<EcVerdict>(V))) {
-      Out = static_cast<EcVerdict>(V);
-      return true;
+  /// A string naming one of the \p Count values \p NameOf maps 0.. to.
+  template <typename E>
+  bool oneOf(const char *Key, const char *(*NameOf)(E), unsigned Count,
+             E &Out) {
+    std::string S;
+    if (!string(Key, S))
+      return false;
+    for (unsigned I = 0; I < Count; ++I)
+      if (S == NameOf(static_cast<E>(I))) {
+        Out = static_cast<E>(I);
+        return true;
+      }
+    return bad(Key, "unknown value \"" + S + "\"");
+  }
+
+private:
+  const JsonValue *get(const char *Key) {
+    const JsonValue &V = J[Key];
+    if (V.isNull()) {
+      Error = std::string("missing ") + Key;
+      return nullptr;
     }
-  return false;
+    return &V;
+  }
+
+  bool bad(const char *Key, const std::string &Why) {
+    Error = std::string("bad ") + Key + ": " + Why;
+    return false;
+  }
+
+  const JsonValue &J;
+  std::string &Error;
+};
+
+const char *tierName(uint8_t T) {
+  return snapPageTierName(static_cast<SnapPageTier>(T));
 }
 
 bool parsePage(const JsonValue &J, PageRecord &R, std::string &Error) {
   if (!J.isObject())
-    return (Error = "page record is not an object"), false;
-  if (!parseHexField(J["begin"], R.PageBegin))
-    return (Error = "page record missing hex begin"), false;
-  R.PageSize = asU64(J["size"]);
-  R.UsedBytes = asU64(J["used"]);
-  R.LiveBytes = asU64(J["live"]);
-  R.HotBytes = asU64(J["hot"]);
-  R.AllocSeq = asU64(J["alloc_seq"]);
-  R.RelocOutBytesGc = asU64(J["reloc_gc"]);
-  R.RelocOutBytesMutator = asU64(J["reloc_mut"]);
-  R.Wlb = J["wlb"].numberOr(0);
-  // Temperature fields are absent in pre-temperature logs; numberOr(0)
-  // keeps those parsing as all-tier-0.
-  R.TempBytes[0] = asU64(J["t0"]);
-  R.TempBytes[1] = asU64(J["t1"]);
-  R.TempBytes[2] = asU64(J["t2"]);
-  R.TempBytes[3] = asU64(J["t3"]);
-  if (!classFromName(J["class"].stringOr(""), R.SizeClass))
-    return (Error = "bad page size class"), false;
-  if (!stateFromName(J["state"].stringOr(""), R.State))
-    return (Error = "bad page state"), false;
-  R.Pinned = J["pinned"].isBool() && J["pinned"].boolean();
-  R.EcSelected = J["ec"].isBool() && J["ec"].boolean();
-  if (!tierFromName(J["tier"].stringOr(""), R.Tier))
-    return (Error = "bad page tier"), false;
-  return true;
-}
-
-/// Lenient like the tier field: unknown route strings read as hot.
-uint8_t routeFromName(const std::string &S) {
-  if (S == "warm")
-    return 1;
-  if (S == "cold")
-    return 2;
-  return 0;
+    return (Error = "not an object"), false;
+  FieldReader F(J, Error);
+  // The verdict first: it is what makes a page row EC's decision record,
+  // so a row written without one fails naming exactly that.
+  return F.oneOf("verdict", ecVerdictName,
+                 static_cast<unsigned>(EcVerdict::NotJudged) + 1,
+                 R.Verdict) &&
+         F.hex("begin", R.PageBegin) && F.u64("size", R.PageSize) &&
+         F.u64("used", R.UsedBytes) && F.u64("live", R.LiveBytes) &&
+         F.u64("hot", R.HotBytes) && F.u64("alloc_seq", R.AllocSeq) &&
+         F.u64("reloc_gc", R.RelocOutBytesGc) &&
+         F.u64("reloc_mut", R.RelocOutBytesMutator) &&
+         F.number("wlb", R.Wlb) && F.number("weight", R.Weight) &&
+         F.u64("t0", R.TempBytes[0]) && F.u64("t1", R.TempBytes[1]) &&
+         F.u64("t2", R.TempBytes[2]) && F.u64("t3", R.TempBytes[3]) &&
+         F.oneOf("class", snapSizeClassName, 3, R.SizeClass) &&
+         F.oneOf("state", snapPageStateName, 3, R.State) &&
+         F.flag("pinned", R.Pinned) && F.oneOf("tier", tierName, 4, R.Tier);
 }
 
 bool parseSite(const JsonValue &J, SiteRecord &R, std::string &Error) {
   if (!J.isObject())
-    return (Error = "site record is not an object"), false;
-  R.SiteIdNum = asU64(J["id"]);
-  R.Name = J["name"].stringOr("unknown");
-  R.AllocatedBytes = asU64(J["alloc"]);
-  R.SurvivedBytes = asU64(J["survived"]);
-  R.HotBytes = asU64(J["hot"]);
-  R.RelocatedBytes = asU64(J["reloc"]);
-  R.PretenuredBytes = asU64(J["pretenured"]);
-  R.HotEwma = J["ewma"].numberOr(0);
-  R.Route = routeFromName(J["route"].stringOr(""));
-  return true;
+    return (Error = "not an object"), false;
+  FieldReader F(J, Error);
+  return F.u64("id", R.SiteIdNum) && F.string("name", R.Name) &&
+         F.u64("alloc", R.AllocatedBytes) &&
+         F.u64("survived", R.SurvivedBytes) && F.u64("hot", R.HotBytes) &&
+         F.u64("reloc", R.RelocatedBytes) &&
+         F.u64("pretenured", R.PretenuredBytes) &&
+         F.number("ewma", R.HotEwma) &&
+         F.oneOf("route", snapSiteRouteName, 3, R.Route);
 }
 
-bool parseAuditEntry(const JsonValue &J, EcAuditEntry &E,
-                     std::string &Error) {
-  if (!J.isObject())
-    return (Error = "audit entry is not an object"), false;
-  if (!parseHexField(J["begin"], E.PageBegin))
-    return (Error = "audit entry missing hex begin"), false;
-  E.PageSize = asU64(J["size"]);
-  E.LiveBytes = asU64(J["live"]);
-  E.HotBytes = asU64(J["hot"]);
-  E.Weight = J["weight"].numberOr(0);
-  E.TempBytes[0] = asU64(J["t0"]);
-  E.TempBytes[1] = asU64(J["t1"]);
-  E.TempBytes[2] = asU64(J["t2"]);
-  E.TempBytes[3] = asU64(J["t3"]);
-  if (!classFromName(J["class"].stringOr(""), E.SizeClass))
-    return (Error = "bad audit size class"), false;
-  E.Pinned = J["pinned"].isBool() && J["pinned"].boolean();
-  if (!verdictFromName(J["verdict"].stringOr(""), E.Verdict))
-    return (Error = "bad audit verdict"), false;
+/// Parses each element of the array member \p Key with \p ParseOne; an
+/// element's error is prefixed with \p Kind and its index.
+template <typename T>
+bool parseArray(const JsonValue &J, const char *Key, const char *Kind,
+                bool (*ParseOne)(const JsonValue &, T &, std::string &),
+                std::vector<T> &Out, std::string &Error) {
+  const JsonValue &A = J[Key];
+  if (!A.isArray())
+    return (Error = std::string("missing ") + Key + " array"), false;
+  Out.resize(A.array().size());
+  for (size_t I = 0; I < Out.size(); ++I)
+    if (!ParseOne(A.array()[I], Out[I], Error)) {
+      Error = std::string(Kind) + " " + std::to_string(I) + ": " + Error;
+      return false;
+    }
   return true;
 }
 
@@ -239,59 +245,35 @@ bool parseAuditEntry(const JsonValue &J, EcAuditEntry &E,
 
 std::string hcsgc::snapshotToJson(const CycleSnapshot &S) {
   std::string Out;
-  Out.reserve(128 + S.Pages.size() * 160 +
-              (S.HasAudit ? S.Audit.Entries.size() * 140 : 0));
-  appendf(Out, "{\"cycle\":%" PRIu64 ",\"point\":\"%s\",\"time_ns\":%" PRIu64,
-          S.Cycle, snapshotPointName(S.Point), S.TimeNs);
+  Out.reserve(256 + S.Pages.size() * 200 + S.Sites.size() * 160);
+  appendf(Out, "{\"cycle\":%" PRIu64 ",\"time_ns\":%" PRIu64, S.Cycle,
+          S.TimeNs);
   Out += ",\"cold_confidence\":";
   appendDouble(Out, S.ColdConfidence);
-  appendf(Out, ",\"hotness\":%s,\"temperature\":%s",
-          S.Hotness ? "true" : "false", S.Temperature ? "true" : "false");
+  Out += ",\"evac_live_threshold\":";
+  appendDouble(Out, S.EvacLiveThreshold);
+  Out += ",\"budget_small\":";
+  appendDouble(Out, S.BudgetSmall);
+  Out += ",\"budget_medium\":";
+  appendDouble(Out, S.BudgetMedium);
+  Out += ",\"required_free\":";
+  appendDouble(Out, S.RequiredFree);
+  appendf(Out, ",\"hotness\":%s,\"temperature\":%s,\"relocate_all\":%s",
+          S.Hotness ? "true" : "false", S.Temperature ? "true" : "false",
+          S.RelocateAll ? "true" : "false");
   Out += ",\"pages\":[";
   for (size_t I = 0; I < S.Pages.size(); ++I) {
     if (I)
       Out += ',';
     appendPage(Out, S.Pages[I]);
   }
-  Out += ']';
-  // Only SITEPROFILING captures carry site rows; omitting the empty
-  // array keeps non-site configs' log bytes identical to older builds.
-  if (!S.Sites.empty()) {
-    Out += ",\"sites\":[";
-    for (size_t I = 0; I < S.Sites.size(); ++I) {
-      if (I)
-        Out += ',';
-      appendSite(Out, S.Sites[I]);
-    }
-    Out += ']';
+  Out += "],\"sites\":[";
+  for (size_t I = 0; I < S.Sites.size(); ++I) {
+    if (I)
+      Out += ',';
+    appendSite(Out, S.Sites[I]);
   }
-  if (S.HasAudit) {
-    const EcAudit &A = S.Audit;
-    appendf(Out, ",\"audit\":{\"cycle\":%" PRIu64, A.Cycle);
-    Out += ",\"cold_confidence\":";
-    appendDouble(Out, A.ColdConfidence);
-    Out += ",\"evac_live_threshold\":";
-    appendDouble(Out, A.EvacLiveThreshold);
-    Out += ",\"budget_small\":";
-    appendDouble(Out, A.BudgetSmall);
-    Out += ",\"budget_medium\":";
-    appendDouble(Out, A.BudgetMedium);
-    Out += ",\"required_free\":";
-    appendDouble(Out, A.RequiredFree);
-    appendf(Out,
-            ",\"hotness\":%s,\"relocate_all\":%s,\"temperature\":%s,"
-            "\"entries\":[",
-            A.Hotness ? "true" : "false",
-            A.RelocateAll ? "true" : "false",
-            A.Temperature ? "true" : "false");
-    for (size_t I = 0; I < A.Entries.size(); ++I) {
-      if (I)
-        Out += ',';
-      appendAuditEntry(Out, A.Entries[I]);
-    }
-    Out += "]}";
-  }
-  Out += '}';
+  Out += "]}";
   return Out;
 }
 
@@ -309,67 +291,21 @@ bool hcsgc::parseSnapshotLine(const std::string &Line, CycleSnapshot &Out,
   if (!J.isObject())
     return (Error = "snapshot line is not an object"), false;
   Out = CycleSnapshot();
-  Out.Cycle = asU64(J["cycle"]);
-  std::string Point = J["point"].stringOr("");
-  if (Point == "after_mark")
-    Out.Point = SnapshotPoint::AfterMark;
-  else if (Point == "after_ec")
-    Out.Point = SnapshotPoint::AfterEc;
-  else
-    return (Error = "bad snapshot point"), false;
-  Out.TimeNs = asU64(J["time_ns"]);
-  Out.ColdConfidence = J["cold_confidence"].numberOr(0);
-  Out.Hotness = J["hotness"].isBool() && J["hotness"].boolean();
-  Out.Temperature =
-      J["temperature"].isBool() && J["temperature"].boolean();
-  const JsonValue &Pages = J["pages"];
-  if (!Pages.isArray())
-    return (Error = "snapshot line has no pages array"), false;
-  Out.Pages.reserve(Pages.array().size());
-  for (const JsonValue &P : Pages.array()) {
-    PageRecord R;
-    if (!parsePage(P, R, Error))
-      return false;
-    Out.Pages.push_back(R);
-  }
-  // Pre-site-schema logs have no "sites" array: absent reads as empty.
-  const JsonValue &Sites = J["sites"];
-  if (Sites.isArray()) {
-    Out.Sites.reserve(Sites.array().size());
-    for (const JsonValue &SV : Sites.array()) {
-      SiteRecord R;
-      if (!parseSite(SV, R, Error))
-        return false;
-      Out.Sites.push_back(std::move(R));
-    }
-  }
-  const JsonValue &Audit = J["audit"];
-  if (Audit.isObject()) {
-    Out.HasAudit = true;
-    EcAudit &A = Out.Audit;
-    A.Cycle = asU64(Audit["cycle"]);
-    A.ColdConfidence = Audit["cold_confidence"].numberOr(0);
-    A.EvacLiveThreshold = Audit["evac_live_threshold"].numberOr(0);
-    A.BudgetSmall = Audit["budget_small"].numberOr(0);
-    A.BudgetMedium = Audit["budget_medium"].numberOr(0);
-    A.RequiredFree = Audit["required_free"].numberOr(0);
-    A.Hotness = Audit["hotness"].isBool() && Audit["hotness"].boolean();
-    A.RelocateAll =
-        Audit["relocate_all"].isBool() && Audit["relocate_all"].boolean();
-    A.Temperature =
-        Audit["temperature"].isBool() && Audit["temperature"].boolean();
-    const JsonValue &Entries = Audit["entries"];
-    if (!Entries.isArray())
-      return (Error = "audit has no entries array"), false;
-    A.Entries.reserve(Entries.array().size());
-    for (const JsonValue &E : Entries.array()) {
-      EcAuditEntry Ent;
-      if (!parseAuditEntry(E, Ent, Error))
-        return false;
-      A.Entries.push_back(Ent);
-    }
-  }
-  return true;
+  FieldReader F(J, Error);
+  // The pages before the cycle-wide fields, so a line of another schema
+  // fails on its first page row, the part a replay reads.
+  return F.u64("cycle", Out.Cycle) &&
+         parseArray(J, "pages", "page", parsePage, Out.Pages, Error) &&
+         F.u64("time_ns", Out.TimeNs) &&
+         F.number("cold_confidence", Out.ColdConfidence) &&
+         F.number("evac_live_threshold", Out.EvacLiveThreshold) &&
+         F.number("budget_small", Out.BudgetSmall) &&
+         F.number("budget_medium", Out.BudgetMedium) &&
+         F.number("required_free", Out.RequiredFree) &&
+         F.flag("hotness", Out.Hotness) &&
+         F.flag("temperature", Out.Temperature) &&
+         F.flag("relocate_all", Out.RelocateAll) &&
+         parseArray(J, "sites", "site", parseSite, Out.Sites, Error);
 }
 
 bool hcsgc::readSnapshotLog(const std::string &Text,

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Serialization for the heap locality observatory: one JSON object per
-/// capture per line (JSONL), so a streaming writer never needs to hold
-/// more than one capture and a reader can filter by line. Conventions
+/// cycle per line (JSONL), so a streaming writer never needs to hold
+/// more than one capture and a reader can filter by line. The reader is
+/// strict: a missing member, a malformed address, a negative or
+/// fractional byte count or an unknown enum name fails the line. Conventions
 /// shared with the trace exporter: addresses are hex strings (they do
 /// not fit a double exactly), doubles are printed with %.17g so WLB
 /// weights and budgets round-trip bit-exactly through strtod — the
@@ -34,7 +36,8 @@ std::string snapshotToJson(const CycleSnapshot &S);
 /// Writes \p S to \p F as one JSONL line.
 void writeSnapshotJsonl(const CycleSnapshot &S, std::FILE *F);
 
-/// Parses one JSONL line. On failure returns false and fills \p Error.
+/// Parses one JSONL line. On failure returns false and fills \p Error
+/// with the offending record and field ("page 3: missing verdict").
 bool parseSnapshotLine(const std::string &Line, CycleSnapshot &Out,
                        std::string &Error);
 

@@ -11,7 +11,7 @@
 //    targets, stretched phase and safepoint boundaries — the concurrent
 //    read/update/churn mix must finish with zero consistency violations
 //    and an intact heap;
-//  - the snapshot/EC-audit invariants under the KV access pattern: the
+//  - the snapshot invariants under the KV access pattern: the
 //    offline §3.1.3 replay reproduces the collector's accept set
 //    byte-for-byte, and once ColdConfidence weighting has relocation
 //    compacting the Zipf working set, the hot-byte fraction of the pages
@@ -206,16 +206,13 @@ TEST(KvGcStressTest, SnapshotAuditReplaysAndHotSetCompacts) {
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();
   ASSERT_GE(Log.size(), 8u) << "too few snapshots captured";
 
-  // (a) The EC decision audit replays byte-exactly offline — the
+  // (a) The recorded EC decisions replay byte-exactly offline — the
   // in-process equivalent of `heapscope --replay` exiting 0.
   size_t Audited = 0, SelectedTotal = 0;
   for (const CycleSnapshot &S : Log) {
-    if (S.Point != SnapshotPoint::AfterEc)
-      continue;
-    ASSERT_TRUE(S.HasAudit) << "AfterEc capture without audit";
     ++Audited;
-    std::vector<uint64_t> Recorded = auditSelectedPages(S.Audit);
-    EXPECT_EQ(replayEcSelection(S.Audit), Recorded)
+    std::vector<uint64_t> Recorded = selectedPages(S);
+    EXPECT_EQ(replayEcSelection(S), Recorded)
         << "cycle " << S.Cycle << ": offline replay diverged";
     SelectedTotal += Recorded.size();
   }
@@ -236,7 +233,7 @@ TEST(KvGcStressTest, SnapshotAuditReplaysAndHotSetCompacts) {
   // trend is cycle 2 onward.
   std::vector<std::pair<uint64_t, double>> Trend;
   for (const CycleSnapshot &S : Log) {
-    if (S.Point != SnapshotPoint::AfterMark || !S.Hotness || S.Cycle < 2)
+    if (!S.Hotness || S.Cycle < 2)
       continue;
     double HotSum = 0, Weighted = 0;
     for (const PageRecord &P : S.Pages) {
@@ -338,7 +335,7 @@ KvPurityRun runKvPurityWorkload(bool Temperature) {
   // hotmap, so the comparison isolates the placement policy.
   std::vector<double> Trend;
   for (const CycleSnapshot &S : R.Log) {
-    if (S.Point != SnapshotPoint::AfterMark || !S.Hotness || S.Cycle < 2)
+    if (!S.Hotness || S.Cycle < 2)
       continue;
     double HotSum = 0, Weighted = 0;
     for (const PageRecord &P : S.Pages) {
@@ -393,7 +390,7 @@ TEST(KvGcStressTest, TemperatureBeatsBinaryHotnessOnHotPagePurity) {
   // bytes: the drifting sample can clip a cold page's neighbour keys.)
   size_t ColdPageSightings = 0;
   for (const CycleSnapshot &S : Temp.Log) {
-    if (S.Point != SnapshotPoint::AfterMark || !S.Temperature)
+    if (!S.Temperature)
       continue;
     for (const PageRecord &P : S.Pages) {
       if (P.Tier != static_cast<uint8_t>(SnapPageTier::Cold) ||
@@ -508,7 +505,7 @@ KvPretenureRun runKvPretenureWorkload(bool SiteProfile) {
   // persistently-hot working set not sharing pages with cold bytes.
   std::vector<double> Trend;
   for (const CycleSnapshot &S : RT.collectSnapshots()) {
-    if (S.Point != SnapshotPoint::AfterMark || !S.Hotness || S.Cycle < 2)
+    if (!S.Hotness || S.Cycle < 2)
       continue;
     double HotSum = 0, Weighted = 0;
     for (const PageRecord &P : S.Pages) {

@@ -7,9 +7,9 @@
 //
 // Pure observe-layer tests for the heap locality observatory: the shared
 // WLB formula's boundary behavior, the offline EC replay (filter, sort,
-// budget/required-free prefix, RELOCATEALLSMALLPAGES, pinned/dead
-// skips), ring-capacity drop accounting, and the JSONL round trip
-// (including bit-exact doubles via %.17g).
+// budget/required-free prefix, RELOCATEALLSMALLPAGES, pinned/dead/unjudged
+// skips), ring-capacity drop accounting, the JSONL round trip (including
+// bit-exact doubles via %.17g) and the strict reader's rejections.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,18 +25,27 @@ using namespace hcsgc;
 
 namespace {
 
-/// Convenience builder for replay-test audits over small pages.
-EcAuditEntry smallEntry(uint64_t Begin, uint64_t Live, uint64_t Hot,
-                        double Weight, EcVerdict V) {
-  EcAuditEntry E;
+/// Convenience builder for replay-test page rows: a small page that
+/// predates cycle 1 (the cycle replayCycle() stamps).
+PageRecord smallEntry(uint64_t Begin, uint64_t Live, uint64_t Hot,
+                      double Weight, EcVerdict V) {
+  PageRecord E;
   E.PageBegin = Begin;
   E.PageSize = 64 * 1024;
+  E.UsedBytes = Live;
   E.LiveBytes = Live;
   E.HotBytes = Hot;
   E.Weight = Weight;
   E.SizeClass = SnapSizeClass::Small;
   E.Verdict = V;
   return E;
+}
+
+/// An empty cycle 1 whose pages smallEntry rows (AllocSeq 0) predate.
+CycleSnapshot replayCycle() {
+  CycleSnapshot S;
+  S.Cycle = 1;
+  return S;
 }
 
 } // namespace
@@ -58,104 +67,108 @@ TEST(WlbFormulaTest, Boundaries) {
 }
 
 TEST(EcReplayTest, BudgetPrefixTakesLightestPages) {
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.BudgetSmall = 300.0;
   A.EvacLiveThreshold = 1.0; // Admit everything; test the budget alone.
   A.Hotness = 1;
   // Weights 100, 200, 400 at addresses 0x3000, 0x1000, 0x2000: the sort
   // is (weight, address), the prefix stops once the budget is full.
-  A.Entries.push_back(smallEntry(0x3000, 100, 0, 100.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x1000, 200, 0, 200.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x2000, 400, 0, 400.0,
-                                 EcVerdict::RejectedBudget));
+  A.Pages.push_back(smallEntry(0x3000, 100, 0, 100.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x1000, 200, 0, 200.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x2000, 400, 0, 400.0,
+                               EcVerdict::RejectedBudget));
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x1000, 0x3000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(EcReplayTest, RequiredFreeExtendsPastBudget) {
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.BudgetSmall = 50.0; // Budget admits nothing on its own...
   // ...but reclamation demand forces the prefix onward until the freed
   // bytes (size - live) cover it.
   A.RequiredFree = 100 * 1024.0;
   A.EvacLiveThreshold = 1.0;
   A.Hotness = 1;
-  A.Entries.push_back(smallEntry(0x1000, 1000, 0, 1000.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x2000, 2000, 0, 2000.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x3000, 3000, 0, 3000.0,
-                                 EcVerdict::RejectedBudget));
+  A.Pages.push_back(smallEntry(0x1000, 1000, 0, 1000.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x2000, 2000, 0, 2000.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x3000, 3000, 0, 3000.0,
+                               EcVerdict::RejectedBudget));
   // Page 1 frees ~63KB < 100KB, page 2 pushes past it, page 3 is out.
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x1000, 0x2000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(EcReplayTest, ThresholdDeadAndPinnedAreFilteredOut) {
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.BudgetSmall = 1e9;
   A.EvacLiveThreshold = 0.5; // 60000/64K > 0.5 > 100/64K.
   A.Hotness = 1;
   // A threshold rejection never re-enters the candidate pool on replay.
-  A.Entries.push_back(smallEntry(0x1000, 60000, 0, 60000.0,
-                                 EcVerdict::RejectedThreshold));
+  A.Pages.push_back(smallEntry(0x1000, 60000, 0, 60000.0,
+                               EcVerdict::RejectedThreshold));
   // Dead and pinned pages are not candidates at all.
-  A.Entries.push_back(smallEntry(0x2000, 0, 0, 0.0,
-                                 EcVerdict::DeadReclaimed));
-  EcAuditEntry Pinned = smallEntry(0x3000, 100, 0, 0.0,
-                                   EcVerdict::PinnedSkipped);
+  A.Pages.push_back(smallEntry(0x2000, 0, 0, 0.0,
+                               EcVerdict::DeadReclaimed));
+  PageRecord Pinned = smallEntry(0x3000, 100, 0, 0.0,
+                                 EcVerdict::PinnedSkipped);
   Pinned.Pinned = 1;
-  A.Entries.push_back(Pinned);
-  A.Entries.push_back(smallEntry(0x4000, 100, 0, 100.0,
-                                 EcVerdict::Selected));
+  A.Pages.push_back(Pinned);
+  // Nor is a page allocated during the cycle: its liveness is not final.
+  PageRecord Young = smallEntry(0x5000, 100, 0, 0.0, EcVerdict::NotJudged);
+  Young.AllocSeq = A.Cycle;
+  A.Pages.push_back(Young);
+  A.Pages.push_back(smallEntry(0x4000, 100, 0, 100.0,
+                               EcVerdict::Selected));
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x4000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(EcReplayTest, RelocateAllSelectsEverySmallCandidate) {
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.RelocateAll = 1;
   A.BudgetSmall = 0.0; // RELOCATEALLSMALLPAGES ignores the budget.
   A.Hotness = 1;
-  A.Entries.push_back(smallEntry(0x2000, 60000, 0, 0.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x1000, 100, 0, 0.0,
-                                 EcVerdict::Selected));
-  A.Entries.push_back(smallEntry(0x3000, 0, 0, 0.0,
-                                 EcVerdict::DeadReclaimed));
+  A.Pages.push_back(smallEntry(0x2000, 60000, 0, 0.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x1000, 100, 0, 0.0,
+                               EcVerdict::Selected));
+  A.Pages.push_back(smallEntry(0x3000, 0, 0, 0.0,
+                               EcVerdict::DeadReclaimed));
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x1000, 0x2000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(EcReplayTest, MediumPagesUseOwnBudget) {
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.BudgetSmall = 1e9;
   A.BudgetMedium = 5000.0;
   A.EvacLiveThreshold = 0.5;
   A.Hotness = 1;
-  EcAuditEntry M1 = smallEntry(0x100000, 4000, 0, 4000.0,
-                               EcVerdict::Selected);
+  PageRecord M1 = smallEntry(0x100000, 4000, 0, 4000.0,
+                             EcVerdict::Selected);
   M1.SizeClass = SnapSizeClass::Medium;
   M1.PageSize = 1024 * 1024;
-  EcAuditEntry M2 = smallEntry(0x200000, 40000, 0, 40000.0,
-                               EcVerdict::RejectedBudget);
+  PageRecord M2 = smallEntry(0x200000, 40000, 0, 40000.0,
+                             EcVerdict::RejectedBudget);
   M2.SizeClass = SnapSizeClass::Medium;
   M2.PageSize = 1024 * 1024;
-  EcAuditEntry L = smallEntry(0x300000, 123, 0, 123.0,
-                              EcVerdict::LargeIgnored);
+  PageRecord L = smallEntry(0x300000, 123, 0, 123.0,
+                            EcVerdict::LargeIgnored);
   L.SizeClass = SnapSizeClass::Large;
-  A.Entries.push_back(M1);
-  A.Entries.push_back(M2);
-  A.Entries.push_back(L);
+  A.Pages.push_back(M1);
+  A.Pages.push_back(M2);
+  A.Pages.push_back(L);
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x100000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(SnapshotRingTest, DropsOldestPastCapacity) {
@@ -179,9 +192,12 @@ TEST(SnapshotRingTest, DropsOldestPastCapacity) {
 TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   CycleSnapshot S;
   S.Cycle = 42;
-  S.Point = SnapshotPoint::AfterEc;
   S.TimeNs = 123456789;
   S.ColdConfidence = 1.0 / 3.0; // Not representable in few digits.
+  S.EvacLiveThreshold = 0.1;
+  S.BudgetSmall = 98765.4321;
+  S.BudgetMedium = 0.125;
+  S.RequiredFree = 4096.0;
   S.Hotness = 1;
 
   PageRecord P;
@@ -194,24 +210,12 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   P.RelocOutBytesGc = 100;
   P.RelocOutBytesMutator = 200;
   P.Wlb = wlbFormula(P.LiveBytes, P.HotBytes, true, S.ColdConfidence);
+  P.Weight = P.Wlb;
   P.SizeClass = SnapSizeClass::Small;
-  P.State = SnapPageState::RelocSource;
+  P.State = SnapPageState::Active;
   P.Pinned = 0;
-  P.EcSelected = 1;
+  P.Verdict = EcVerdict::Selected;
   S.Pages.push_back(P);
-
-  S.HasAudit = true;
-  S.Audit.Cycle = 42;
-  S.Audit.ColdConfidence = S.ColdConfidence;
-  S.Audit.EvacLiveThreshold = 0.1;
-  S.Audit.BudgetSmall = 98765.4321;
-  S.Audit.BudgetMedium = 0.125;
-  S.Audit.RequiredFree = 4096.0;
-  S.Audit.Hotness = 1;
-  S.Audit.RelocateAll = 0;
-  S.Audit.Entries.push_back(
-      smallEntry(P.PageBegin, P.LiveBytes, P.HotBytes, P.Wlb,
-                 EcVerdict::Selected));
 
   std::string Line = snapshotToJson(S);
   CycleSnapshot R;
@@ -219,10 +223,14 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   ASSERT_TRUE(parseSnapshotLine(Line, R, Error)) << Error;
 
   EXPECT_EQ(R.Cycle, S.Cycle);
-  EXPECT_EQ(R.Point, S.Point);
   EXPECT_EQ(R.TimeNs, S.TimeNs);
   EXPECT_EQ(R.ColdConfidence, S.ColdConfidence); // Bit-exact via %.17g.
+  EXPECT_EQ(R.EvacLiveThreshold, S.EvacLiveThreshold);
+  EXPECT_EQ(R.BudgetSmall, S.BudgetSmall);
+  EXPECT_EQ(R.BudgetMedium, S.BudgetMedium);
+  EXPECT_EQ(R.RequiredFree, S.RequiredFree);
   EXPECT_EQ(R.Hotness, S.Hotness);
+  EXPECT_EQ(R.RelocateAll, S.RelocateAll);
   ASSERT_EQ(R.Pages.size(), 1u);
   const PageRecord &Q = R.Pages[0];
   EXPECT_EQ(Q.PageBegin, P.PageBegin);
@@ -234,26 +242,14 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   EXPECT_EQ(Q.RelocOutBytesGc, P.RelocOutBytesGc);
   EXPECT_EQ(Q.RelocOutBytesMutator, P.RelocOutBytesMutator);
   EXPECT_EQ(Q.Wlb, P.Wlb);
+  EXPECT_EQ(Q.Weight, P.Weight);
   EXPECT_EQ(Q.SizeClass, P.SizeClass);
   EXPECT_EQ(Q.State, P.State);
   EXPECT_EQ(Q.Pinned, P.Pinned);
-  EXPECT_EQ(Q.EcSelected, P.EcSelected);
-  ASSERT_TRUE(R.HasAudit);
-  EXPECT_EQ(R.Audit.Cycle, S.Audit.Cycle);
-  EXPECT_EQ(R.Audit.ColdConfidence, S.Audit.ColdConfidence);
-  EXPECT_EQ(R.Audit.EvacLiveThreshold, S.Audit.EvacLiveThreshold);
-  EXPECT_EQ(R.Audit.BudgetSmall, S.Audit.BudgetSmall);
-  EXPECT_EQ(R.Audit.BudgetMedium, S.Audit.BudgetMedium);
-  EXPECT_EQ(R.Audit.RequiredFree, S.Audit.RequiredFree);
-  EXPECT_EQ(R.Audit.Hotness, S.Audit.Hotness);
-  EXPECT_EQ(R.Audit.RelocateAll, S.Audit.RelocateAll);
-  ASSERT_EQ(R.Audit.Entries.size(), 1u);
-  EXPECT_EQ(R.Audit.Entries[0].PageBegin, P.PageBegin);
-  EXPECT_EQ(R.Audit.Entries[0].Weight, P.Wlb);
-  EXPECT_EQ(R.Audit.Entries[0].Verdict, EcVerdict::Selected);
+  EXPECT_EQ(Q.Verdict, EcVerdict::Selected);
 
-  // Replay works identically on the round-tripped audit.
-  EXPECT_EQ(replayEcSelection(R.Audit), replayEcSelection(S.Audit));
+  // Replay works identically on the round-tripped cycle.
+  EXPECT_EQ(replayEcSelection(R), replayEcSelection(S));
 }
 
 // 1e15 is exact in a double, so it survives the parser. With every
@@ -385,27 +381,27 @@ TEST(WlbTempFormulaTest, BinaryReductionIsBitExact) {
 }
 
 TEST(EcReplayTest, TemperatureWeightsDriveReplay) {
-  // The audit says TEMPERATURE was on, so the replay must recompute
+  // The cycle says TEMPERATURE was on, so the replay must recompute
   // weights from the per-tier bytes — NOT from the binary hot bytes.
   // Page 0x1000 is a trap for a binary replay: its hotmap says 100 hot
   // bytes (WLB 100 at full confidence, ratio ~0 -> would be selected)
   // but its temperature plane says everything sat at tier 0 (WLB ==
   // live, ratio 0.92 -> rejected by threshold).
-  EcAudit A;
+  CycleSnapshot A = replayCycle();
   A.BudgetSmall = 1e9;
   A.EvacLiveThreshold = 0.75;
   A.ColdConfidence = 1.0;
   A.Hotness = 1;
   A.Temperature = 1;
 
-  EcAuditEntry Trap = smallEntry(0x1000, 60000, 100, 0.0,
-                                 EcVerdict::RejectedThreshold);
+  PageRecord Trap = smallEntry(0x1000, 60000, 100, 0.0,
+                               EcVerdict::RejectedThreshold);
   Trap.TempBytes[0] = 60000;
   Trap.Weight = wlbTempFormula(Trap.LiveBytes, Trap.TempBytes, true,
                                A.ColdConfidence);
 
-  EcAuditEntry Mixed = smallEntry(0x2000, 60000, 0, 0.0,
-                                  EcVerdict::Selected);
+  PageRecord Mixed = smallEntry(0x2000, 60000, 0, 0.0,
+                                EcVerdict::Selected);
   Mixed.TempBytes[0] = 50000;
   Mixed.TempBytes[1] = 6000;
   Mixed.TempBytes[2] = 3000;
@@ -413,24 +409,26 @@ TEST(EcReplayTest, TemperatureWeightsDriveReplay) {
   Mixed.Weight = wlbTempFormula(Mixed.LiveBytes, Mixed.TempBytes, true,
                                 A.ColdConfidence);
 
-  A.Entries.push_back(Trap);
-  A.Entries.push_back(Mixed);
+  A.Pages.push_back(Trap);
+  A.Pages.push_back(Mixed);
   std::vector<uint64_t> Sel = replayEcSelection(A);
   EXPECT_EQ(Sel, (std::vector<uint64_t>{0x2000}));
-  EXPECT_EQ(Sel, auditSelectedPages(A));
+  EXPECT_EQ(Sel, selectedPages(A));
 }
 
 TEST(SnapshotLogTest, TemperatureRoundTripIsExact) {
   CycleSnapshot S;
   S.Cycle = 9;
-  S.Point = SnapshotPoint::AfterEc;
   S.ColdConfidence = 2.0 / 3.0;
+  S.EvacLiveThreshold = 0.75;
+  S.BudgetSmall = 1e6;
   S.Hotness = 1;
   S.Temperature = 1;
 
   PageRecord P;
   P.PageBegin = 0xabcd0000ull;
   P.PageSize = 64 * 1024;
+  P.UsedBytes = 40000;
   P.LiveBytes = 40000;
   P.TempBytes[0] = 10000;
   P.TempBytes[1] = 10000;
@@ -438,22 +436,11 @@ TEST(SnapshotLogTest, TemperatureRoundTripIsExact) {
   P.TempBytes[3] = 10000;
   P.Wlb = wlbTempFormula(P.LiveBytes, P.TempBytes, true,
                          S.ColdConfidence);
+  P.Weight = P.Wlb;
   P.SizeClass = SnapSizeClass::Small;
   P.Tier = static_cast<uint8_t>(SnapPageTier::Cold);
+  P.Verdict = EcVerdict::Selected;
   S.Pages.push_back(P);
-
-  S.HasAudit = true;
-  S.Audit.Cycle = 9;
-  S.Audit.ColdConfidence = S.ColdConfidence;
-  S.Audit.EvacLiveThreshold = 0.75;
-  S.Audit.BudgetSmall = 1e6;
-  S.Audit.Hotness = 1;
-  S.Audit.Temperature = 1;
-  EcAuditEntry E = smallEntry(P.PageBegin, P.LiveBytes, 0, P.Wlb,
-                              EcVerdict::Selected);
-  for (unsigned T = 0; T < SnapTempTiers; ++T)
-    E.TempBytes[T] = P.TempBytes[T];
-  S.Audit.Entries.push_back(E);
 
   CycleSnapshot R;
   std::string Error;
@@ -463,35 +450,105 @@ TEST(SnapshotLogTest, TemperatureRoundTripIsExact) {
   for (unsigned T = 0; T < SnapTempTiers; ++T)
     EXPECT_EQ(R.Pages[0].TempBytes[T], P.TempBytes[T]);
   EXPECT_EQ(R.Pages[0].Wlb, P.Wlb); // Bit-exact via %.17g.
+  EXPECT_EQ(R.Pages[0].Weight, P.Wlb);
   EXPECT_EQ(R.Pages[0].Tier, static_cast<uint8_t>(SnapPageTier::Cold));
-  ASSERT_TRUE(R.HasAudit);
-  EXPECT_EQ(R.Audit.Temperature, 1);
-  ASSERT_EQ(R.Audit.Entries.size(), 1u);
-  for (unsigned T = 0; T < SnapTempTiers; ++T)
-    EXPECT_EQ(R.Audit.Entries[0].TempBytes[T], E.TempBytes[T]);
-  EXPECT_EQ(R.Audit.Entries[0].Weight, P.Wlb);
-  EXPECT_EQ(replayEcSelection(R.Audit), replayEcSelection(S.Audit));
+  EXPECT_EQ(replayEcSelection(R), replayEcSelection(S));
+  EXPECT_EQ(replayEcSelection(R), selectedPages(R));
 }
 
-TEST(SnapshotLogTest, PreTemperatureLinesParseWithZeroTiers) {
-  // A line written before the temperature extension: no "temperature",
-  // no t0..t3, no "tier". It must still parse, with the new fields
-  // reading as off/zero/none — heapscope replays old logs unchanged.
-  const std::string Legacy =
-      "{\"cycle\":3,\"point\":\"after_mark\",\"time_ns\":1,"
-      "\"cold_confidence\":0.5,\"hotness\":true,\"pages\":["
-      "{\"begin\":\"0x1000\",\"size\":65536,\"used\":100,\"live\":100,"
-      "\"hot\":50,\"alloc_seq\":1,\"reloc_gc\":0,\"reloc_mut\":0,"
-      "\"wlb\":75,\"class\":\"small\",\"state\":\"active\","
-      "\"pinned\":false,\"ec\":false}]}";
+namespace {
+
+/// A well-formed one-page, one-site line, as the collector writes it.
+std::string validLine() {
+  CycleSnapshot S;
+  S.Cycle = 3;
+  PageRecord P;
+  P.PageBegin = 0x1000;
+  P.PageSize = 65536;
+  P.UsedBytes = P.LiveBytes = 100;
+  P.Verdict = EcVerdict::RejectedThreshold;
+  S.Pages.push_back(P);
+  SiteRecord St;
+  St.Name = "snap.site";
+  S.Sites.push_back(St);
+  return snapshotToJson(S);
+}
+
+/// \returns validLine() with the first \p From replaced by \p To.
+std::string edited(const std::string &From, const std::string &To) {
+  std::string Line = validLine();
+  size_t Pos = Line.find(From);
+  EXPECT_NE(Pos, std::string::npos) << From;
+  return Pos == std::string::npos ? Line
+                                  : Line.replace(Pos, From.size(), To);
+}
+
+/// Expects \p Line to be rejected with an error containing \p Want.
+void expectRejected(const std::string &Line, const std::string &Want) {
   CycleSnapshot R;
   std::string Error;
-  ASSERT_TRUE(parseSnapshotLine(Legacy, R, Error)) << Error;
-  EXPECT_EQ(R.Temperature, 0);
-  ASSERT_EQ(R.Pages.size(), 1u);
-  for (unsigned T = 0; T < SnapTempTiers; ++T)
-    EXPECT_EQ(R.Pages[0].TempBytes[T], 0u);
-  EXPECT_EQ(R.Pages[0].Tier, static_cast<uint8_t>(SnapPageTier::None));
+  EXPECT_FALSE(parseSnapshotLine(Line, R, Error)) << Line;
+  EXPECT_NE(Error.find(Want), std::string::npos)
+      << "error \"" << Error << "\" does not name \"" << Want << "\"";
+}
+
+} // namespace
+
+TEST(SnapshotLogTest, RejectsMissingField) {
+  CycleSnapshot R;
+  std::string Error;
+  ASSERT_TRUE(parseSnapshotLine(validLine(), R, Error)) << Error;
+  // Absent, not zero: a dropped field must not read as 0.
+  expectRejected(edited("\"live\":100,", ""), "page 0: missing live");
+  expectRejected(edited("\"budget_small\":0,", ""),
+                 "missing budget_small");
+  expectRejected(edited(",\"sites\":[", ",\"other\":["), "missing sites");
+  expectRejected(edited("\"alloc\":0,", ""), "site 0: missing alloc");
+}
+
+TEST(SnapshotLogTest, RejectsMalformedHexBegin) {
+  expectRejected(edited("\"0x1000\"", "\"0xzz\""),
+                 "page 0: bad begin: \"0xzz\" is not a hex address");
+  expectRejected(edited("\"0x1000\"", "\"0x10zz\""), "bad begin");
+  expectRejected(edited("\"0x1000\"", "\"1000\""), "bad begin");
+  expectRejected(edited("\"0x1000\"", "\"0x\""), "bad begin");
+  expectRejected(edited("\"0x1000\"", "\"0x10000000000000000\""),
+                 "bad begin");
+}
+
+TEST(SnapshotLogTest, RejectsNegativeOrFractionalByteCount) {
+  expectRejected(edited("\"used\":100", "\"used\":-100"),
+                 "page 0: bad used: not a non-negative integer");
+  expectRejected(edited("\"used\":100", "\"used\":100.5"),
+                 "page 0: bad used: not a non-negative integer");
+  expectRejected(edited("\"size\":65536", "\"size\":\"65536\""),
+                 "page 0: bad size");
+}
+
+TEST(SnapshotLogTest, RejectsUnknownRoute) {
+  expectRejected(edited("\"route\":\"hot\"", "\"route\":\"lukewarm\""),
+                 "site 0: bad route: unknown value \"lukewarm\"");
+}
+
+TEST(SnapshotLogTest, RejectsUnknownVerdict) {
+  expectRejected(
+      edited("\"verdict\":\"rejected_threshold\"", "\"verdict\":\"maybe\""),
+      "page 0: bad verdict: unknown value \"maybe\"");
+}
+
+TEST(SnapshotLogTest, TwoLineSchemaFailsOnFirstPage) {
+  // A line of the older two-captures-per-cycle schema (an after_mark
+  // capture, with an "ec" flag per page and no verdict) is not this
+  // schema, and is rejected at its first page rather than replayed.
+  const std::string Old =
+      "{\"cycle\":3,\"point\":\"after_mark\",\"time_ns\":1,"
+      "\"cold_confidence\":0.5,\"hotness\":true,\"temperature\":false,"
+      "\"pages\":[{\"begin\":\"0x1000\",\"size\":65536,\"used\":100,"
+      "\"live\":100,\"hot\":50,\"alloc_seq\":1,\"reloc_gc\":0,"
+      "\"reloc_mut\":0,\"wlb\":75,\"t0\":0,\"t1\":0,\"t2\":0,\"t3\":0,"
+      "\"class\":\"small\",\"state\":\"active\",\"pinned\":false,"
+      "\"ec\":false,\"tier\":\"none\"}]}";
+  expectRejected(Old, "page 0: missing verdict");
 }
 
 TEST(CycleRangeTest, SingleNumberMeansDegenerateRange) {

@@ -4,11 +4,11 @@
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
 //
 // Reads a JSONL heap-snapshot log (GcConfig::SnapshotLogPath, the
-// harness's --snapshot-log flag, or Runtime::dumpSnapshots) and renders
-// the locality observatory offline:
+// harness's --snapshot-log flag, or Runtime::dumpSnapshots), one line per
+// GC cycle, and renders the locality observatory offline:
 //
-//   $ heapscope snap.jsonl                    # per-capture summary table
-//   $ heapscope snap.jsonl --map              # ASCII heat strip per capture
+//   $ heapscope snap.jsonl                    # per-cycle summary table
+//   $ heapscope snap.jsonl --map              # ASCII heat strip per cycle
 //   $ heapscope snap.jsonl --map=7            #   ... cycle 7 only
 //   $ heapscope snap.jsonl --trends           # locality trend lines
 //   $ heapscope snap.jsonl --sites            # top allocation sites
@@ -16,7 +16,8 @@
 //   $ heapscope snap.jsonl --audit            # EC decision audit dump
 //   $ heapscope snap.jsonl --audit=7          #   ... cycle 7 only
 //   $ heapscope snap.jsonl --replay           # re-run EC selection from the
-//                                             # audit; exit 1 on mismatch
+//                                             # page rows; exit 1 on a
+//                                             # mismatch or no judged cycle
 //   $ heapscope snap.jsonl --diff=other.jsonl # compare two runs per cycle
 //   $ heapscope snap.jsonl --cycles=3..7      # restrict any mode to 3-7
 //
@@ -57,6 +58,16 @@ bool loadLog(const char *Path, std::vector<CycleSnapshot> &Out) {
   return true;
 }
 
+/// Pages EC released as dead: present in the census, gone once the
+/// cycle's selection ran.
+bool reclaimed(const PageRecord &P) {
+  return P.Verdict == EcVerdict::DeadReclaimed;
+}
+
+bool selected(const PageRecord &P) {
+  return P.Verdict == EcVerdict::Selected;
+}
+
 uint64_t sumLive(const CycleSnapshot &S) {
   uint64_t N = 0;
   for (const PageRecord &P : S.Pages)
@@ -78,25 +89,24 @@ uint64_t sumUsed(const CycleSnapshot &S) {
   return N;
 }
 
-size_t countSelected(const CycleSnapshot &S) {
-  size_t N = 0;
-  for (const PageRecord &P : S.Pages)
-    N += P.EcSelected;
-  return N;
+size_t countIf(const CycleSnapshot &S, bool (*Pred)(const PageRecord &)) {
+  return static_cast<size_t>(
+      std::count_if(S.Pages.begin(), S.Pages.end(), Pred));
 }
 
 void printSummary(const std::vector<CycleSnapshot> &Log) {
-  std::printf("%5s %-10s %6s %10s %10s %10s %5s %8s %6s\n", "cycle",
-              "point", "pages", "used(KB)", "live(KB)", "hot(KB)", "ec",
-              "cc", "audit");
+  // The census as marking left it: dead pages count toward pages and
+  // used bytes; "ec" and "dead" are EC's verdicts on them.
+  std::printf("%5s %6s %10s %10s %10s %5s %5s %8s\n", "cycle", "pages",
+              "used(KB)", "live(KB)", "hot(KB)", "ec", "dead", "cc");
   for (const CycleSnapshot &S : Log)
-    std::printf("%5" PRIu64 " %-10s %6zu %10.1f %10.1f %10.1f %5zu "
-                "%8.3f %6s\n",
-                S.Cycle, snapshotPointName(S.Point), S.Pages.size(),
+    std::printf("%5" PRIu64 " %6zu %10.1f %10.1f %10.1f %5zu %5zu %8.3f\n",
+                S.Cycle, S.Pages.size(),
                 static_cast<double>(sumUsed(S)) / 1024.0,
                 static_cast<double>(sumLive(S)) / 1024.0,
-                static_cast<double>(sumHot(S)) / 1024.0, countSelected(S),
-                S.ColdConfidence, S.HasAudit ? "yes" : "");
+                static_cast<double>(sumHot(S)) / 1024.0,
+                countIf(S, selected), countIf(S, reclaimed),
+                S.ColdConfidence);
 }
 
 /// One shade character per page, by hot fraction of live bytes.
@@ -111,9 +121,9 @@ char shadeOf(const PageRecord &P) {
 }
 
 void printMap(const CycleSnapshot &S) {
-  std::printf("cycle %" PRIu64 " %s: %zu pages (hot-fraction shade "
+  std::printf("cycle %" PRIu64 ": %zu pages (hot-fraction shade "
               "' .:-=+*#%%@', '^' = EC-selected)\n",
-              S.Cycle, snapshotPointName(S.Point), S.Pages.size());
+              S.Cycle, S.Pages.size());
   constexpr size_t Width = 64;
   for (size_t Row = 0; Row < S.Pages.size(); Row += Width) {
     size_t End = std::min(S.Pages.size(), Row + Width);
@@ -122,16 +132,17 @@ void printMap(const CycleSnapshot &S) {
       std::fputc(shadeOf(S.Pages[I]), stdout);
     std::printf("|\n         |");
     for (size_t I = Row; I < End; ++I)
-      std::fputc(S.Pages[I].EcSelected ? '^' : ' ', stdout);
+      std::fputc(selected(S.Pages[I]) ? '^' : ' ', stdout);
     std::printf("|\n");
   }
 }
 
 void printTrends(const std::vector<CycleSnapshot> &Log) {
-  // One line per AfterEc capture: how much of the live set is hot, how
-  // fragmented the surviving (unselected) pages are, and what fraction of
-  // pages entered the relocation set — the observable the paper's
-  // locality argument is about (hot objects packed onto few pages).
+  // One line per cycle, over the pages left once EC released the dead
+  // ones: how much of the live set is hot, how fragmented the surviving
+  // (unselected) pages are, and what fraction of pages entered the
+  // relocation set — the observable the paper's locality argument is
+  // about (hot objects packed onto few pages).
   // Temperature columns (zero without TEMPERATURE): the byte fraction of
   // the live set at each 2-bit tier, plus resident bytes on cold-tier
   // pages — the reclaimable-RSS figure the cold backend reports.
@@ -141,13 +152,14 @@ void printTrends(const std::vector<CycleSnapshot> &Log) {
               "cycle", "hot/live", "surv hot/lv", "frag", "ec pages%",
               "pages", "t0%", "t1%", "t2%", "t3%", "cold(KB)", "pret%");
   for (const CycleSnapshot &S : Log) {
-    if (S.Point != SnapshotPoint::AfterEc)
-      continue;
     uint64_t Live = 0, Hot = 0, SurvLive = 0, SurvHot = 0, Used = 0;
     uint64_t Temp[SnapTempTiers] = {0, 0, 0, 0};
     uint64_t ColdResident = 0;
-    size_t Selected = 0;
+    size_t Pages = 0, Selected = 0;
     for (const PageRecord &P : S.Pages) {
+      if (reclaimed(P))
+        continue;
+      ++Pages;
       Live += P.LiveBytes;
       Hot += P.HotBytes;
       Used += P.UsedBytes;
@@ -155,7 +167,7 @@ void printTrends(const std::vector<CycleSnapshot> &Log) {
         Temp[T] += P.TempBytes[T];
       if (P.Tier == static_cast<uint8_t>(SnapPageTier::Cold))
         ColdResident += P.UsedBytes;
-      if (P.EcSelected) {
+      if (selected(P)) {
         ++Selected;
       } else {
         SurvLive += P.LiveBytes;
@@ -168,9 +180,7 @@ void printTrends(const std::vector<CycleSnapshot> &Log) {
     // Fragmentation: allocated-but-dead fraction across active pages.
     double Frag = Used ? 1.0 - static_cast<double>(Live) / Used : 0.0;
     double EcPct =
-        S.Pages.empty()
-            ? 0.0
-            : 100.0 * static_cast<double>(Selected) / S.Pages.size();
+        Pages ? 100.0 * static_cast<double>(Selected) / Pages : 0.0;
     uint64_t TempTotal = Temp[0] + Temp[1] + Temp[2] + Temp[3];
     auto TempPct = [&](unsigned T) {
       return TempTotal ? 100.0 * static_cast<double>(Temp[T]) /
@@ -187,7 +197,7 @@ void printTrends(const std::vector<CycleSnapshot> &Log) {
                                : 0.0;
     std::printf("%5" PRIu64 " %12.3f %12.3f %12.3f %11.1f%% %8zu "
                 "%6.1f%% %6.1f%% %6.1f%% %6.1f%% %10.1f %5.1f%%\n",
-                S.Cycle, HotFrac, SurvFrac, Frag, EcPct, S.Pages.size(),
+                S.Cycle, HotFrac, SurvFrac, Frag, EcPct, Pages,
                 TempPct(0), TempPct(1), TempPct(2), TempPct(3),
                 static_cast<double>(ColdResident) / 1024.0, PretPct);
   }
@@ -211,9 +221,9 @@ void printSites(const std::vector<CycleSnapshot> &Log, long TopN) {
             });
   if (TopN > 0 && Sites.size() > static_cast<size_t>(TopN))
     Sites.resize(static_cast<size_t>(TopN));
-  std::printf("allocation sites as of cycle %" PRIu64 " (%s), by "
-              "allocated bytes:\n",
-              Last->Cycle, snapshotPointName(Last->Point));
+  std::printf("allocation sites as of cycle %" PRIu64 ", by allocated "
+              "bytes:\n",
+              Last->Cycle);
   std::printf("%4s %-20s %10s %10s %10s %10s %10s %7s %-5s\n", "id",
               "site", "alloc(KB)", "surv(KB)", "hot(KB)", "reloc(KB)",
               "pret(KB)", "ewma", "route");
@@ -230,51 +240,49 @@ void printSites(const std::vector<CycleSnapshot> &Log, long TopN) {
 }
 
 void printAudit(const CycleSnapshot &S) {
-  const EcAudit &A = S.Audit;
   std::printf("cycle %" PRIu64 " audit: cc=%.3f threshold=%.3f "
               "budget_small=%.1f budget_medium=%.1f required_free=%.1f "
               "hotness=%d relocate_all=%d temperature=%d\n",
-              A.Cycle, A.ColdConfidence, A.EvacLiveThreshold,
-              A.BudgetSmall, A.BudgetMedium, A.RequiredFree,
-              static_cast<int>(A.Hotness),
-              static_cast<int>(A.RelocateAll),
-              static_cast<int>(A.Temperature));
-  if (A.Temperature) {
-    std::printf("  %-14s %6s %10s %10s %12s %-6s %-18s %8s %8s %8s "
-                "%8s\n",
-                "page", "size", "live", "hot", "weight", "class",
-                "verdict", "t0", "t1", "t2", "t3");
-    for (const EcAuditEntry &E : A.Entries)
-      std::printf("  0x%-12" PRIx64 " %6" PRIu64 " %10" PRIu64
-                  " %10" PRIu64 " %12.1f %-6s %-18s %8" PRIu64
-                  " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 "\n",
-                  E.PageBegin, E.PageSize, E.LiveBytes, E.HotBytes,
-                  E.Weight, snapSizeClassName(E.SizeClass),
-                  ecVerdictName(E.Verdict), E.TempBytes[0],
-                  E.TempBytes[1], E.TempBytes[2], E.TempBytes[3]);
-    return;
-  }
-  std::printf("  %-14s %6s %10s %10s %12s %-6s %-18s\n", "page", "size",
+              S.Cycle, S.ColdConfidence, S.EvacLiveThreshold,
+              S.BudgetSmall, S.BudgetMedium, S.RequiredFree,
+              static_cast<int>(S.Hotness), static_cast<int>(S.RelocateAll),
+              static_cast<int>(S.Temperature));
+  std::printf("  %-14s %6s %10s %10s %12s %-6s %-18s", "page", "size",
               "live", "hot", "weight", "class", "verdict");
-  for (const EcAuditEntry &E : A.Entries)
-    std::printf("  0x%-12" PRIx64 " %6" PRIu64 " %10" PRIu64
-                " %10" PRIu64 " %12.1f %-6s %-18s\n",
-                E.PageBegin, E.PageSize, E.LiveBytes, E.HotBytes,
-                E.Weight, snapSizeClassName(E.SizeClass),
-                ecVerdictName(E.Verdict));
+  if (S.Temperature)
+    std::printf(" %8s %8s %8s %8s", "t0", "t1", "t2", "t3");
+  std::printf("\n");
+  for (const PageRecord &P : S.Pages) {
+    if (P.Verdict == EcVerdict::NotJudged)
+      continue;
+    std::printf("  0x%-12" PRIx64 " %6" PRIu64 " %10" PRIu64 " %10" PRIu64
+                " %12.1f %-6s %-18s",
+                P.PageBegin, P.PageSize, P.LiveBytes, P.HotBytes, P.Weight,
+                snapSizeClassName(P.SizeClass), ecVerdictName(P.Verdict));
+    if (S.Temperature)
+      std::printf(" %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64,
+                  P.TempBytes[0], P.TempBytes[1], P.TempBytes[2],
+                  P.TempBytes[3]);
+    std::printf("\n");
+  }
 }
 
-/// Re-runs EC selection from every audit and compares with what the live
-/// selector recorded. \returns the number of mismatching captures.
-int replayAll(const std::vector<CycleSnapshot> &Log) {
+/// Re-runs EC selection for every cycle and compares with the verdicts
+/// the live selector recorded. \returns false on any mismatch, and on a
+/// log in which no cycle judged a page: a run that collected nothing
+/// proves nothing.
+bool replayAll(const std::vector<CycleSnapshot> &Log) {
   int Mismatches = 0;
-  size_t Audited = 0;
+  size_t Judged = 0;
   for (const CycleSnapshot &S : Log) {
-    if (!S.HasAudit)
+    if (std::none_of(S.Pages.begin(), S.Pages.end(),
+                     [](const PageRecord &P) {
+                       return P.Verdict != EcVerdict::NotJudged;
+                     }))
       continue;
-    ++Audited;
-    std::vector<uint64_t> Replayed = replayEcSelection(S.Audit);
-    std::vector<uint64_t> Recorded = auditSelectedPages(S.Audit);
+    ++Judged;
+    std::vector<uint64_t> Replayed = replayEcSelection(S);
+    std::vector<uint64_t> Recorded = selectedPages(S);
     if (Replayed == Recorded) {
       std::printf("cycle %" PRIu64 ": replay OK (%zu selected)\n",
                   S.Cycle, Recorded.size());
@@ -295,20 +303,23 @@ int replayAll(const std::vector<CycleSnapshot> &Log) {
                     " but the replay did not\n",
                     B);
   }
-  std::printf("replay: %zu audited captures, %d mismatches\n", Audited,
+  std::printf("replay: %zu judged cycles, %d mismatches\n", Judged,
               Mismatches);
-  return Mismatches;
+  if (Judged == 0)
+    std::fprintf(stderr, "heapscope: --replay: no cycle in the log judged "
+                         "a page, nothing was checked\n");
+  return Judged > 0 && Mismatches == 0;
 }
 
 void printDiff(const std::vector<CycleSnapshot> &A,
                const std::vector<CycleSnapshot> &B) {
-  // Index AfterEc captures by cycle on both sides; compare where both
-  // runs have the cycle and note one-sided cycles.
+  // Index cycles on both sides; compare where both runs have the cycle
+  // and note one-sided cycles. Dead pages hold no live or hot bytes, so
+  // the sums need not skip them.
   auto index = [](const std::vector<CycleSnapshot> &Log) {
     std::map<uint64_t, const CycleSnapshot *> M;
     for (const CycleSnapshot &S : Log)
-      if (S.Point == SnapshotPoint::AfterEc)
-        M[S.Cycle] = &S;
+      M[S.Cycle] = &S;
     return M;
   };
   auto MA = index(A), MB = index(B);
@@ -328,7 +339,7 @@ void printDiff(const std::vector<CycleSnapshot> &A,
                 static_cast<double>(sumLive(*SB)) / 1024.0,
                 static_cast<double>(sumHot(*SA)) / 1024.0,
                 static_cast<double>(sumHot(*SB)) / 1024.0,
-                countSelected(*SA), countSelected(*SB));
+                countIf(*SA, selected), countIf(*SB, selected));
   }
   for (const auto &[Cycle, SB] : MB)
     if (!MA.count(Cycle))
@@ -407,7 +418,7 @@ int main(int Argc, char **Argv) {
                                       S.Cycle > CycleHi;
                              }),
               Log.end());
-  std::printf("%s: %zu captures\n", Path, Log.size());
+  std::printf("%s: %zu cycles\n", Path, Log.size());
 
   if (Summary)
     printSummary(Log);
@@ -421,8 +432,7 @@ int main(int Argc, char **Argv) {
     printSites(Log, SitesTop);
   if (Audit)
     for (const CycleSnapshot &S : Log)
-      if (S.HasAudit &&
-          (AuditCycle < 0 || S.Cycle == static_cast<uint64_t>(AuditCycle)))
+      if (AuditCycle < 0 || S.Cycle == static_cast<uint64_t>(AuditCycle))
         printAudit(S);
   if (DiffPath) {
     std::vector<CycleSnapshot> Other;
@@ -438,6 +448,6 @@ int main(int Argc, char **Argv) {
     printDiff(Log, Other);
   }
   if (Replay)
-    return replayAll(Log) == 0 ? 0 : 1;
+    return replayAll(Log) ? 0 : 1;
   return 0;
 }
