@@ -104,7 +104,8 @@ BENCHMARK(BM_HotmapFlag);
 
 /// Forwarding-table insert-or-get (relocation linearization point).
 static void BM_ForwardingInsert(benchmark::State &State) {
-  ForwardingTable Table(1 << 16);
+  ForwardingTable Table(1 << 16, /*PageBytes=*/1 << 18, /*HeapBase=*/0,
+                        /*HeapBytes=*/1 << 20);
   uint32_t Off = 0;
   for (auto _ : State) {
     bool Won;
@@ -116,7 +117,8 @@ BENCHMARK(BM_ForwardingInsert);
 
 /// Forwarding lookup of present entries.
 static void BM_ForwardingLookup(benchmark::State &State) {
-  ForwardingTable Table(1 << 12);
+  ForwardingTable Table(1 << 12, /*PageBytes=*/1 << 15, /*HeapBase=*/0,
+                        /*HeapBytes=*/1 << 20);
   for (uint32_t I = 0; I < (1u << 12); ++I) {
     bool Won;
     Table.insertOrGet(I * 8, I * 8 + 16, Won);

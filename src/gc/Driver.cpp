@@ -45,6 +45,8 @@ GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
   Met.TempAgingWalks = &MR.counter("temp.aging_walks");
   Met.ColdRelocBytes = &MR.counter("coldpage.relocated_bytes");
   Met.PauseUs = &MR.histogram("gc.pause_us");
+  Met.MarkUs = &MR.histogram("gc.phase.mark_us");
+  Met.RelocUs = &MR.histogram("gc.phase.reloc_us");
   Met.HotRatioPct = &MR.histogram("gc.hot_ratio_pct");
   Met.RelocBytesPerCycle = &MR.histogram("gc.reloc_bytes_per_cycle");
   Met.ColdResidentBytes = &MR.histogram("coldpage.resident_bytes");
@@ -252,6 +254,8 @@ void GcDriver::recordCycle(const CycleRecord &Rec) {
   Met.EmptyReclaimed->add(Rec.EmptyPagesReclaimed);
   for (double Ms : {Rec.Stw1Ms, Rec.Stw2Ms, Rec.Stw3Ms})
     Met.PauseUs->record(static_cast<uint64_t>(Ms * 1000.0));
+  Met.MarkUs->record(static_cast<uint64_t>(Rec.MarkMs * 1000.0));
+  Met.RelocUs->record(static_cast<uint64_t>(Rec.RelocMs * 1000.0));
   if (Rec.LiveBytesMarked > 0)
     Met.HotRatioPct->record(Rec.HotBytesMarked * 100 /
                             Rec.LiveBytesMarked);

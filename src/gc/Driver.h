@@ -174,6 +174,8 @@ private:
     Counter *TempAgingWalks = nullptr;
     Counter *ColdRelocBytes = nullptr;
     Histogram *PauseUs = nullptr;
+    Histogram *MarkUs = nullptr;
+    Histogram *RelocUs = nullptr;
     Histogram *HotRatioPct = nullptr;
     Histogram *RelocBytesPerCycle = nullptr;
     Histogram *ColdResidentBytes = nullptr;

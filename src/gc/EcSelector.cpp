@@ -221,7 +221,8 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
                 TraceEventKind::EcPageSelected, Ec.Cycle, Row.Rec.PageBegin,
                 Row.Rec.LiveBytes, Row.Rec.HotBytes,
                 traceBitsFromDouble(C.Weight));
-    Row.P->beginEvacuation();
+    Row.P->beginEvacuation(Heap.pageTable().base(),
+                           Heap.pageTable().reservedBytes());
   }
 
   HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,

@@ -37,16 +37,13 @@ static uintptr_t allocateInTarget(GcHeap &Heap, Page *&Target,
   return Addr;
 }
 
-uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
-                                   uintptr_t OldAddr, ThreadContext &Ctx) {
-  ForwardingTable *Fwd = Src->forwarding();
-  assert(Fwd && "relocating from a page without a forwarding table");
-  uint32_t Off = Src->offsetOf(OldAddr);
-  if (uintptr_t Existing = Fwd->lookup(Off))
-    return Existing;
-
-  assert(Src->state() == PageState::RelocSource &&
-         "unforwarded object on a non-relocating page");
+/// Copies the unforwarded object at \p OldAddr off \p Src and races to
+/// publish the copy (INTERNALS §3, steps 2-4). The caller has seen the
+/// forwarding miss and holds the page's drain handshake: it is either
+/// the draining thread or an announced copier, so the page's memory and
+/// side tables stay in place until this returns.
+static uintptr_t copyAndForward(GcHeap &Heap, Page *Src, uintptr_t OldAddr,
+                                ThreadContext &Ctx) {
   assert(Src->isLive(OldAddr) && "relocating an unmarked object");
 
   ObjectView V(OldAddr);
@@ -100,7 +97,8 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
                    static_cast<uint64_t>(RelocatePerByteCycles *
                                          static_cast<double>(Bytes)));
   bool Won = false;
-  uintptr_t Final = Fwd->insertOrGet(Off, NewAddr, Won);
+  uintptr_t Final =
+      Src->forwarding()->insertOrGet(Src->offsetOf(OldAddr), NewAddr, Won);
   if (!Won) {
     // §2.2: "others will discard their local value". The target page is
     // thread-private, so retracting the bump pointer always succeeds.
@@ -144,14 +142,38 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
   return Final;
 }
 
+uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
+                                   uintptr_t OldAddr, ThreadContext &Ctx) {
+  ForwardingTable *Fwd = Src->forwarding();
+  assert(Fwd && "relocating from a page without a forwarding table");
+  uint32_t Off = Src->offsetOf(OldAddr);
+  if (uintptr_t Existing = Fwd->lookup(Off))
+    return Existing;
+
+  // A miss means copying, which reads the page. Announce it first: the
+  // drain drops the page's memory and side tables once it ends, and
+  // waits out every copier announced by then (INTERNALS §4). A drain
+  // that ended before the announcement forwarded this object already.
+  uintptr_t Final = Src->beginCopy() ? copyAndForward(Heap, Src, OldAddr, Ctx)
+                                     : Fwd->lookup(Off);
+  Src->endCopy();
+  assert(Final && "drained page left a live object unforwarded");
+  return Final;
+}
+
 void hcsgc::relocatePage(GcHeap &Heap, Page *Src, uint64_t EcCycle,
                          ThreadContext &Ctx) {
   assert(Src->state() == PageState::RelocSource &&
          "draining a page not selected for evacuation");
+  const ForwardingTable *Fwd = Src->forwarding();
   Src->forEachLiveObject([&](uintptr_t Addr) {
-    relocateOrForward(Heap, Src, Addr, Ctx);
+    if (!Fwd->lookup(Src->offsetOf(Addr)))
+      copyAndForward(Heap, Src, Addr, Ctx);
   });
-  Src->setState(PageState::Quarantined);
+  // Every live object is forwarded. Once the announced copiers are done,
+  // only the forwarding table is ever read again: return the memory and
+  // the side tables.
   Src->setQuarantineCycle(EcCycle);
+  Src->finishDrain();
   Heap.allocator().quarantinePage(Src);
 }

@@ -32,9 +32,11 @@ uintptr_t relocateOrForward(GcHeap &Heap, Page *Src, uintptr_t OldAddr,
                             ThreadContext &Ctx);
 
 /// GC-side page drain: forwards every live object off \p Src, then
-/// transitions the page to Quarantined (tagged with \p EcCycle) and moves
-/// it to quarantine accounting. After this returns, all lookups into the
-/// page hit the forwarding table.
+/// transitions the page to Quarantined (tagged with \p EcCycle), waits
+/// out the copiers still reading it, and moves it to quarantine
+/// accounting, which returns its memory and side tables. After this
+/// returns, all lookups into the page hit the forwarding table, and the
+/// forwarding table is all that is left to read.
 void relocatePage(GcHeap &Heap, Page *Src, uint64_t EcCycle,
                   ThreadContext &Ctx);
 

@@ -10,17 +10,27 @@
 #include "support/Compiler.h"
 #include "support/MathExtras.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace hcsgc;
 
-ForwardingTable::ForwardingTable(uint32_t ExpectedEntries) {
+ForwardingTable::ForwardingTable(uint32_t ExpectedEntries, size_t PageBytes,
+                                 uintptr_t HeapBase, size_t HeapBytes)
+    : HeapBase(HeapBase), HeapBytes(HeapBytes) {
+  // Every granule index + 1 must fit the key field and every target
+  // granule the target field; a geometry that does not fit would alias
+  // entries, so refuse it outright.
+  if (PageBytes / ObjectAlignment > KeyMask)
+    fatalError("forwarding table: page too large for the key field");
+  if (HeapBytes / ObjectAlignment > (uint64_t(1) << TargetBits))
+    fatalError("forwarding table: heap mapping too large for the target "
+               "field");
   // 2x the expected population keeps probe chains short; minimum 16.
   uint64_t Cap = nextPowerOf2(std::max<uint64_t>(ExpectedEntries, 8) * 2);
-  Keys = std::vector<std::atomic<uint64_t>>(Cap);
-  Values = std::vector<std::atomic<uint64_t>>(Cap);
-  for (uint64_t I = 0; I < Cap; ++I) {
-    Keys[I].store(0, std::memory_order_relaxed);
-    Values[I].store(0, std::memory_order_relaxed);
-  }
+  Entries = std::vector<std::atomic<uint64_t>>(Cap);
+  for (std::atomic<uint64_t> &E : Entries)
+    E.store(0, std::memory_order_relaxed);
   Mask = Cap - 1;
 }
 
@@ -32,29 +42,29 @@ static uint64_t hashOffset(uint32_t Offset) {
 
 uintptr_t ForwardingTable::insertOrGet(uint32_t Offset, uintptr_t NewAddr,
                                        bool &Won) {
-  uint64_t Key = static_cast<uint64_t>(Offset) + 1;
+  assert(Offset % ObjectAlignment == 0 && "misaligned source offset");
+  assert(NewAddr >= HeapBase && NewAddr - HeapBase < HeapBytes &&
+         NewAddr % ObjectAlignment == 0 && "target outside the heap");
+  uint64_t Key = Offset / ObjectAlignment + 1;
+  uint64_t Entry =
+      Key | (static_cast<uint64_t>(NewAddr - HeapBase) / ObjectAlignment)
+                << KeyBits;
   uint64_t Idx = hashOffset(Offset) & Mask;
   for (uint64_t Probes = 0; Probes <= Mask; ++Probes) {
-    uint64_t Cur = Keys[Idx].load(std::memory_order_acquire);
-    if (Cur == 0) {
-      uint64_t Expected = 0;
-      if (Keys[Idx].compare_exchange_strong(Expected, Key,
-                                            std::memory_order_acq_rel)) {
-        Values[Idx].store(NewAddr, std::memory_order_release);
-        Count.fetch_add(1, std::memory_order_relaxed);
-        Won = true;
-        return NewAddr;
-      }
-      Cur = Expected;
+    uint64_t Cur = Entries[Idx].load(std::memory_order_acquire);
+    // The CAS publishes key and target together: the linearization
+    // point. Release orders the caller's copy before it.
+    if (Cur == 0 &&
+        Entries[Idx].compare_exchange_strong(Cur, Entry,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+      Count.fetch_add(1, std::memory_order_relaxed);
+      Won = true;
+      return NewAddr;
     }
-    if (Cur == Key) {
-      // Another thread owns this entry; wait for its value to be
-      // published (a few instructions at most).
-      uint64_t V;
-      while ((V = Values[Idx].load(std::memory_order_acquire)) == 0)
-        ;
+    if ((Cur & KeyMask) == Key) {
       Won = false;
-      return static_cast<uintptr_t>(V);
+      return targetOf(Cur);
     }
     Idx = (Idx + 1) & Mask;
   }
@@ -62,18 +72,14 @@ uintptr_t ForwardingTable::insertOrGet(uint32_t Offset, uintptr_t NewAddr,
 }
 
 uintptr_t ForwardingTable::lookup(uint32_t Offset) const {
-  uint64_t Key = static_cast<uint64_t>(Offset) + 1;
+  uint64_t Key = Offset / ObjectAlignment + 1;
   uint64_t Idx = hashOffset(Offset) & Mask;
   for (uint64_t Probes = 0; Probes <= Mask; ++Probes) {
-    uint64_t Cur = Keys[Idx].load(std::memory_order_acquire);
+    uint64_t Cur = Entries[Idx].load(std::memory_order_acquire);
     if (Cur == 0)
       return 0;
-    if (Cur == Key) {
-      uint64_t V;
-      while ((V = Values[Idx].load(std::memory_order_acquire)) == 0)
-        ;
-      return static_cast<uintptr_t>(V);
-    }
+    if ((Cur & KeyMask) == Key)
+      return targetOf(Cur);
     Idx = (Idx + 1) & Mask;
   }
   return 0;

@@ -9,6 +9,8 @@
 
 #include "support/MathExtras.h"
 
+#include <thread>
+
 using namespace hcsgc;
 
 Page::Page(uintptr_t Begin, size_t Size, PageSizeClass Cls, uint64_t Seq,
@@ -46,6 +48,7 @@ bool Page::undoAllocate(uintptr_t Addr, size_t Bytes) {
 }
 
 void Page::clearMarkState() {
+  assert(hasSideTables() && "side table of a drained page");
   LiveMap.clearAll();
   HotMap.clearAll();
   LiveBytesCtr.store(0, std::memory_order_relaxed);
@@ -80,12 +83,14 @@ void Page::transferHot(uintptr_t Addr, size_t Bytes) {
 }
 
 unsigned Page::temperatureOf(uintptr_t Addr) const {
+  assert(hasSideTables() && "side table of a drained page");
   if (TempWords.empty())
     return 0;
   return static_cast<unsigned>(tempNibble(granuleOf(Addr)) & 3);
 }
 
 unsigned Page::coldStreakOf(uintptr_t Addr) const {
+  assert(hasSideTables() && "side table of a drained page");
   if (TempWords.empty())
     return 0;
   return static_cast<unsigned>((tempNibble(granuleOf(Addr)) >> 2) & 3);
@@ -125,6 +130,7 @@ void Page::seedTemperature(uintptr_t Addr, unsigned Temp, unsigned Streak) {
 }
 
 void Page::ageTemperature() {
+  assert(hasSideTables() && "side table of a drained page");
   if (TempWords.empty())
     return;
   // Exclusive walk (pre-STW1: mark is inactive, no RelocSource pages
@@ -174,6 +180,7 @@ void Page::accumulateTempTierBytes(uint64_t (&Tiers)[TempTiers],
   for (uint64_t &B : Tiers)
     B = 0;
   ProvenCold = 0;
+  assert(hasSideTables() && "side table of a drained page");
   if (TempWords.empty())
     return;
   forEachLiveObject([&](uintptr_t Addr) {
@@ -193,6 +200,7 @@ void Page::forEachLiveObject(
   // map per bit (findNext restarted from scratch on every object). The
   // pre-STW1 survival walk, tier accumulation and EC-feeding passes all
   // funnel through here (INTERNALS §14).
+  assert(hasSideTables() && "side table of a drained page");
   size_t Limit = used() / ObjectAlignment;
   size_t NumWords = (Limit + 63) / 64;
   for (size_t WI = 0; WI < NumWords; ++WI) {
@@ -207,10 +215,29 @@ void Page::forEachLiveObject(
   }
 }
 
-void Page::beginEvacuation() {
+void Page::beginEvacuation(uintptr_t HeapBase, size_t HeapBytes) {
   assert(state() == PageState::Active && "page already evacuating");
-  Fwd = std::make_unique<ForwardingTable>(liveObjects());
+  Fwd = std::make_unique<ForwardingTable>(liveObjects(), PageBytes, HeapBase,
+                                          HeapBytes);
   RelocOutGcCtr.store(0, std::memory_order_relaxed);
   RelocOutMutCtr.store(0, std::memory_order_relaxed);
   setState(PageState::RelocSource);
+}
+
+void Page::finishDrain() {
+  assert(state() == PageState::RelocSource && "finishing an undrained page");
+  // Seq_cst on both sides (beginCopy's increment and state load, this
+  // store and load): either the copier sees Quarantined, or this sees
+  // its announcement and waits for its endCopy.
+  State.store(static_cast<uint32_t>(PageState::Quarantined),
+              std::memory_order_seq_cst);
+  while (Copiers.load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+}
+
+void Page::dropSideTables() {
+  assert(state() == PageState::Quarantined && "dropping a live page's maps");
+  LiveMap.release();
+  HotMap.release();
+  TempWords = std::vector<std::atomic<uint64_t>>();
 }

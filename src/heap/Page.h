@@ -51,10 +51,12 @@ enum class PageState : uint32_t {
   /// Selected into the evacuation candidate set; objects are being (or
   /// waiting to be) relocated out, forwarding table installed.
   RelocSource,
-  /// Fully evacuated. Metadata and forwarding stay alive until all stale
-  /// pointers into the page have been remapped (end of the next M/R);
-  /// the address range is not reused before then (see DESIGN.md on the
-  /// absence of ZGC's multi-mapping).
+  /// Fully evacuated. Only the address range, the page-table entry and
+  /// the forwarding table are kept, until all stale pointers into the
+  /// page have been remapped (end of the next M/R): the object memory is
+  /// returned to the OS and the side tables are freed when the drain
+  /// ends. The address range is not reused before then (see DESIGN.md on
+  /// the absence of ZGC's multi-mapping).
   Quarantined,
 };
 
@@ -241,7 +243,8 @@ public:
   }
 
   /// Bytes of per-granule side metadata this page carries: the livemap,
-  /// the hotmap and (TEMPERATURE) the temperature plane.
+  /// the hotmap and (TEMPERATURE) the temperature plane. 0 once the page
+  /// is quarantined.
   size_t sideTableBytes() const {
     return (LiveMap.numWords() + HotMap.numWords() + TempWords.size()) *
            sizeof(uint64_t);
@@ -251,12 +254,36 @@ public:
 
   /// Installs a forwarding table sized for this page's live population and
   /// transitions the page to RelocSource. Called during EC selection.
-  void beginEvacuation();
+  /// \p HeapBase and \p HeapBytes span the mapping every relocation
+  /// target lies in (the table stores targets relative to it).
+  void beginEvacuation(uintptr_t HeapBase, size_t HeapBytes);
 
   ForwardingTable *forwarding() const { return Fwd.get(); }
 
-  /// Drops the forwarding table (page retirement).
-  void retireForwarding() { Fwd.reset(); }
+  // --- Drain handshake (INTERNALS §4) -------------------------------------
+
+  /// Announces a copier (a thread that missed in the forwarding table)
+  /// before it reads the object memory and side tables of this RelocSource
+  /// page. \returns false if the drain already ended: every live object
+  /// is forwarded, so the caller must only look its object up. Either way
+  /// the caller finishes with endCopy().
+  bool beginCopy() {
+    Copiers.fetch_add(1, std::memory_order_seq_cst);
+    return State.load(std::memory_order_seq_cst) ==
+           static_cast<uint32_t>(PageState::RelocSource);
+  }
+  void endCopy() { Copiers.fetch_sub(1, std::memory_order_release); }
+
+  /// Ends the drain, called by the draining thread once every live object
+  /// is forwarded: the page becomes Quarantined, then this waits until
+  /// every copier announced before the transition has finished. From then
+  /// on nothing but the forwarding table is read, so dropSideTables() and
+  /// returning the object memory are safe.
+  void finishDrain();
+
+  /// Frees the livemap, the hotmap and the temperature plane of a drained
+  /// page (see finishDrain). Their accessors must not be called again.
+  void dropSideTables();
 
   /// Attributes \p Bytes relocated OUT of this page to the acting thread
   /// kind. Called by the relocation winner; reset when the page enters a
@@ -325,10 +352,17 @@ public:
   }
 
 private:
+  /// Side-table index of \p Addr; every per-object side-table accessor
+  /// goes through here.
   size_t granuleOf(uintptr_t Addr) const {
     assert(contains(Addr) && "address not on this page");
+    assert(hasSideTables() && "side table of a drained page");
     return (Addr - BeginAddr) / ObjectAlignment;
   }
+
+  /// False once dropSideTables() ran (every page has a nonempty livemap
+  /// until then).
+  bool hasSideTables() const { return LiveMap.size() != 0; }
 
   /// Temperature nibbles are packed 16 per 64-bit word: bits [1:0] hold
   /// the saturating temperature, bits [3:2] the cold streak.
@@ -370,6 +404,10 @@ private:
   std::unique_ptr<ForwardingTable> Fwd;
   std::atomic<uint64_t> RelocOutGcCtr{0};
   std::atomic<uint64_t> RelocOutMutCtr{0};
+  /// Copiers announced by beginCopy() and not yet finished. Starts a cache
+  /// line: every mutator relocating off this page writes it twice, and
+  /// the fields before it are read on other paths.
+  alignas(64) std::atomic<uint32_t> Copiers{0};
   uint64_t QuarantineCycle = 0;
   std::atomic<bool> PinnedAsTarget{false};
   uint32_t RegistryIndex = NoRegistryIndex;

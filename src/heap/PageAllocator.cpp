@@ -29,7 +29,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include <sys/mman.h>
@@ -572,6 +574,16 @@ size_t PageAllocator::relocReserveFreeBytes() const {
 void PageAllocator::quarantinePage(Page *P) {
   assert(P->state() == PageState::Quarantined &&
          "page must be marked quarantined first");
+  // A quarantined page keeps its address range, its page-table entry and
+  // its forwarding table; nothing reads its objects or side tables again
+  // (INTERNALS §4). Return the memory now: the range stays mapped and
+  // refaults as zeros when installPage reuses it.
+  if (madvise(reinterpret_cast<void *>(P->begin()), P->size(),
+              MADV_DONTNEED) != 0)
+    fatalError(("madvise(MADV_DONTNEED) on a quarantined page failed: " +
+                std::string(std::strerror(errno)))
+                   .c_str());
+  P->dropSideTables();
   size_t Offset = (P->begin() - Base) / Geo.SmallPageSize;
   Shard &S = shardForUnit(Offset);
   std::lock_guard<std::mutex> G(S.Lock);

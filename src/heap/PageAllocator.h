@@ -117,7 +117,10 @@ public:
                             uint64_t AllocSeq);
 
   /// Moves \p P from active to quarantined accounting. The page's state
-  /// must already be Quarantined; its address range stays mapped.
+  /// must already be Quarantined and no thread may read its objects or
+  /// side tables any more (Page::finishDrain): its memory goes back to
+  /// the OS and its side tables are freed. The address range stays
+  /// mapped, reading as zeros, and the forwarding table stays.
   void quarantinePage(Page *P);
 
   /// Destroys \p P and returns its address range to the free pool.

@@ -54,6 +54,10 @@ public:
     return Addr >= Base && Addr < Base + Reserved;
   }
 
+  /// The reservation this table covers: [base(), base() + reservedBytes()).
+  uintptr_t base() const { return Base; }
+  size_t reservedBytes() const { return Reserved; }
+
 private:
   uintptr_t Base;
   size_t Reserved;

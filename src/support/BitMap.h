@@ -66,6 +66,12 @@ public:
   /// Clears every bit (requires exclusive access).
   void clearAll();
 
+  /// Frees the backing words; the map holds no bits afterwards.
+  void release() {
+    Words = std::vector<std::atomic<uint64_t>>();
+    NumBits = 0;
+  }
+
   // --- Word-level access (support/Bits.h kernels, INTERNALS §14) --------
 
   /// \returns backing word \p WordIdx (relaxed read). Word-at-a-time

@@ -92,7 +92,9 @@ TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
           // retire — exercising both accounting transitions.
           P->setState(PageState::Quarantined);
           A.quarantinePage(P);
-          if (!stampIntact(P, Token))
+          // Quarantine returned the range's memory, so it reads zeros;
+          // a token here was written by an overlapping owner.
+          if (!stampIntact(P, 0))
             Corruptions.fetch_add(1);
           A.releasePage(P);
         } else {

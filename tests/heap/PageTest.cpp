@@ -127,16 +127,23 @@ TEST_F(PageTest, StateTransitions) {
   EXPECT_FALSE(P.isRelocSourceOrQuarantined());
   uintptr_t A = P.allocate(32);
   P.markLive(A, 32);
-  P.beginEvacuation();
+  P.beginEvacuation(P.begin(), P.size());
   EXPECT_EQ(P.state(), PageState::RelocSource);
   EXPECT_TRUE(P.isRelocSourceOrQuarantined());
   ASSERT_NE(P.forwarding(), nullptr);
   EXPECT_GE(P.forwarding()->capacity(), P.liveObjects());
-  P.setState(PageState::Quarantined);
+  bool Won = false;
+  P.forwarding()->insertOrGet(P.offsetOf(A), A + 32, Won);
   P.setQuarantineCycle(42);
+  P.finishDrain();
+  EXPECT_EQ(P.state(), PageState::Quarantined);
   EXPECT_EQ(P.quarantineCycle(), 42u);
-  P.retireForwarding();
-  EXPECT_EQ(P.forwarding(), nullptr);
+  // A drained page keeps only its forwarding table.
+  EXPECT_GT(P.sideTableBytes(), 0u);
+  P.dropSideTables();
+  EXPECT_EQ(P.sideTableBytes(), 0u);
+  ASSERT_NE(P.forwarding(), nullptr);
+  EXPECT_EQ(P.forwarding()->lookup(P.offsetOf(A)), A + 32);
 }
 
 TEST_F(PageTest, OffsetOf) {
