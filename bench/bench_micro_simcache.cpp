@@ -96,11 +96,46 @@ private:
   uint64_t LastLine = 0;
 };
 
-} // namespace
+/// The "RepeatHeavy" stream of tests/simcache/SimcacheReferenceTest.cpp:
+/// two 32-byte objects per line, three walks (two ascending, one
+/// descending) taking turns in runs of 8-40 objects, one access in 16 to
+/// a random line, a quarter of the rest stores. Within a run every other
+/// access repeats its line, so it times the prefetcher's repeat path.
+class RepeatHeavyStream {
+public:
+  static constexpr uintptr_t Base = uintptr_t(1) << 36;
+  static constexpr uint64_t Span = 64ull << 20;
 
-static void BM_MixedAccess(benchmark::State &State) {
-  CacheHierarchy H;
-  MixedStream Gen(7);
+  explicit RepeatHeavyStream(uint64_t Seed) : Rng(Seed) {
+    for (uint64_t &C : Cursors)
+      C = Rng.nextBelow(Span / 64);
+  }
+
+  ProbeEvent next() {
+    if (Run == 0) {
+      Walk = Rng.nextBelow(3);
+      Run = 8 + Rng.nextBelow(33);
+    }
+    --Run;
+    if (Rng.nextBelow(16) == 0)
+      return {Base + Rng.nextBelow(Span), 8, 0u};
+    uint64_t Step = Objs[Walk]++ * 32;
+    uint64_t Off = Cursors[Walk] * 64 + (Walk == 2 ? -Step : Step);
+    return {Base + Off % Span + Rng.nextBelow(4) * 8, 8,
+            Rng.nextBelow(4) == 0 ? 1u : 0u};
+  }
+
+private:
+  SplitMix64 Rng;
+  uint64_t Cursors[3];
+  uint64_t Objs[3] = {};
+  uint64_t Walk = 0, Run = 0;
+};
+
+/// Feeds \p Gen's events through \p H for the whole benchmark loop and
+/// reports the miss and prefetch rates per access.
+template <typename Stream>
+void accessLoop(benchmark::State &State, CacheHierarchy &H, Stream &Gen) {
   for (auto _ : State) {
     ProbeEvent E = Gen.next();
     if (E.IsStore)
@@ -116,7 +151,22 @@ static void BM_MixedAccess(benchmark::State &State) {
       static_cast<double>(H.counters().PrefetchesIssued) /
       static_cast<double>(Accesses);
 }
+
+} // namespace
+
+static void BM_MixedAccess(benchmark::State &State) {
+  CacheHierarchy H;
+  MixedStream Gen(7);
+  accessLoop(State, H, Gen);
+}
 BENCHMARK(BM_MixedAccess);
+
+static void BM_RepeatHeavyAccess(benchmark::State &State) {
+  CacheHierarchy H;
+  RepeatHeavyStream Gen(7);
+  accessLoop(State, H, Gen);
+}
+BENCHMARK(BM_RepeatHeavyAccess);
 
 /// The MixedStream line sequence through the stream prefetcher alone
 /// (default 16-stream table): the share of BM_MixedAccess spent finding

@@ -12,14 +12,18 @@
 /// and a stream prefetcher hides the remaining misses. This model detects
 /// ascending/descending unit-stride line streams and prefetches ahead.
 ///
-/// Matching rule: an access extends the first stream, in table order,
-/// whose last line lies within +/-2 lines of it (and, once the stream has
-/// a direction, on the same side). An access that extends no stream
-/// starts a new one in the least recently used slot. Two side structures
-/// make both lookups cheap: a 1024-bucket index from `LastLine & 1023` to
-/// a bitmask of streams, and a doubly linked recency list whose tail is the
-/// victim (INTERNALS §14.4). The index only proposes candidates; each one
-/// is still checked against the exact rule, so its size moves no result.
+/// Matching rule: an access to the line some stream touched last is a
+/// repeat; it changes nothing (no confidence, position or recency change)
+/// and prefetches nothing, as a hardware streamer allocates no stream for a
+/// line it already tracks. Any other access extends the first stream, in
+/// table order, whose last line lies within +/-2 lines of it (and, once
+/// the stream has a direction, on the same side). An access that extends
+/// no stream starts a new one in the least recently used slot. Two side
+/// structures make these lookups cheap: a 1024-bucket index from
+/// `LastLine & 1023` to a bitmask of streams, and a doubly linked recency
+/// list whose tail is the victim (INTERNALS §14.4). The index only proposes
+/// candidates; each one is still checked against the exact rule, so its
+/// size moves no result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,13 +50,16 @@ public:
   /// \returns the stride of the stream it extends once that stream has
   /// locked (+1 or -1: prefetch Line + Stride * i), or 0 for no prefetch.
   int observe(uint64_t Line) {
+    // A repeat: a stream ending at Line sits in Line's own bucket.
+    for (uint32_t Own = Buckets[Line & BucketMask]; Own; Own &= Own - 1)
+      if (Table[ctz64(Own)].LastLine == Line)
+        return 0;
     uint32_t Candidates = Buckets[(Line - 2) & BucketMask] |
                           Buckets[(Line - 1) & BucketMask] |
                           Buckets[(Line + 1) & BucketMask] |
                           Buckets[(Line + 2) & BucketMask];
     // Ascending index order keeps "first match in table order wins".
-    // Delta is never 0: a stream ending at Line sits in Line's own
-    // bucket, which is not among the four probed.
+    // Delta is never 0: Line's own bucket is not among the four probed.
     for (; Candidates; Candidates &= Candidates - 1) {
       uint32_t I = ctz64(Candidates);
       Stream &S = Table[I];

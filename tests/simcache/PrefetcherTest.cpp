@@ -92,6 +92,38 @@ TEST(PrefetcherTest, EvictsLeastRecentlyUsedStream) {
   EXPECT_EQ(P.observe(502), 0);
 }
 
+TEST(PrefetcherTest, RepeatedLineKeepsTrainedStreams) {
+  // Two 32-byte objects per line make the line just touched the most
+  // common access. A repeat of one stream's line must not evict another,
+  // trained stream; had each repeat started a stream in the LRU slot, the
+  // 16 repeats would have cycled through all four slots.
+  StreamPrefetcher P(4);
+  for (uint64_t L = 100; L < 104; ++L)
+    P.observe(L);
+  EXPECT_EQ(P.observe(5000), 0);
+  for (int I = 0; I < 16; ++I)
+    EXPECT_EQ(P.observe(5000), 0);
+  EXPECT_EQ(P.observe(104), 1);
+}
+
+TEST(PrefetcherTest, RepeatLeavesTheLruVictim) {
+  // Two slots: the stream at 500 is the LRU one. Repeating 500, even
+  // after stream A (line 100) has locked, prefetches nothing and does not
+  // make 500's stream recent, so a new stream still evicts it, not A.
+  StreamPrefetcher P(2);
+  P.observe(500);
+  for (uint64_t L = 100; L < 103; ++L)
+    P.observe(L);
+  EXPECT_EQ(P.observe(102), 0); // a repeat of A's locked line
+  EXPECT_EQ(P.observe(500), 0);
+  P.observe(9000); // evicts the stream at 500
+  EXPECT_EQ(P.observe(103), 1); // A survived, still locked
+  // Had 500's stream survived, 501 and 502 would lock it; a fresh stream
+  // needs a third access.
+  P.observe(501);
+  EXPECT_EQ(P.observe(502), 0);
+}
+
 TEST(PrefetcherTest, BucketAliasIsNotAStream) {
   // X + 2^20 + 1 shares X + 1's bucket under any power-of-two bucket
   // count up to 2^20, so the stream at X is a candidate for it; the

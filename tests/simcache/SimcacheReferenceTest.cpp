@@ -11,7 +11,10 @@
 // per access and returns its targets in a vector. The production model
 // (recency-ordered sets, a bucketed stream index and a recency list) must
 // produce bit-identical counters on every stream and geometry here.
-// The reference keeps the original code as it was; do not optimize it.
+// The reference keeps the original code as it was, except for one
+// deliberate rule change: a repeat of a stream's last line leaves the
+// prefetcher untouched (the first three lines of its `observe`). Do not
+// optimize it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -160,6 +163,10 @@ void StreamPrefetcher::reset() {
 }
 
 void StreamPrefetcher::observe(uint64_t Line, std::vector<uint64_t> &Targets) {
+  // A repeat of a stream's last line changes nothing and prefetches nothing.
+  for (const Stream &S : Table)
+    if (S.Valid && S.LastLine == Line)
+      return;
   ++Tick;
 
   // Try to extend an existing stream: a hit is an access within +/-2 lines
@@ -324,7 +331,8 @@ enum class StreamKind {
   LineCrossing,
   StoreHeavy,
   Mixed,
-  BucketAliased
+  BucketAliased,
+  RepeatHeavy
 };
 
 /// Seeded access-stream generator. Addresses sit in a 64 MiB window well
@@ -372,6 +380,8 @@ public:
       uint64_t Off = Rng.nextBelow(64 - 8);
       return event(Line * 64 + Off, 8, Rng.nextBelow(4) == 0);
     }
+    case StreamKind::RepeatHeavy:
+      return repeatHeavy();
     }
     return load(0, 8);
   }
@@ -409,11 +419,32 @@ private:
     return event(Line * 64 + Rng.nextBelow(56), 8, Pick % 4 == 0);
   }
 
+  /// Two 32-byte objects per line, as in the paper's synthetic layout:
+  /// three walks (two ascending, one descending) take turns in runs of
+  /// 8-40 objects, so within a run every other access repeats its line.
+  /// Had each repeat started a stream, one run's repeats would push the
+  /// other walks' trained streams out of the 16-stream table. One access
+  /// in 16 goes to a random line; a quarter of the rest are stores.
+  ProbeEvent repeatHeavy() {
+    if (Run == 0) {
+      Walk = Rng.nextBelow(3);
+      Run = 8 + Rng.nextBelow(33);
+    }
+    --Run;
+    if (Rng.nextBelow(16) == 0)
+      return load(Rng.nextBelow(Span), 8);
+    uint64_t Step = Objs[Walk]++ * 32;
+    uint64_t Off = Cursors[Walk] * 64 + (Walk == 2 ? -Step : Step);
+    return event(Off % Span + Rng.nextBelow(4) * 8, 8, Rng.nextBelow(4) == 0);
+  }
+
   StreamKind Kind;
   SplitMix64 Rng;
   uint64_t N = 0;
   uint64_t Cursors[4];
   uint64_t LastLine = 0;
+  uint64_t Objs[3] = {};
+  uint64_t Walk = 0, Run = 0;
 };
 
 enum class Geometry { Default, GraphCc, PrefetchOff };
@@ -492,7 +523,7 @@ std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
   static const char *Kinds[] = {"Random",       "Sequential", "Backward",
                                 "Jittered",     "LineCrossing",
                                 "StoreHeavy",   "Mixed",
-                                "BucketAliased"};
+                                "BucketAliased", "RepeatHeavy"};
   static const char *Geos[] = {"Default", "GraphCc", "PrefetchOff"};
   return std::string(Kinds[static_cast<int>(std::get<0>(Info.param))]) +
          "_" + Geos[static_cast<int>(std::get<1>(Info.param))];
@@ -504,7 +535,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(StreamKind::Random, StreamKind::Sequential,
                           StreamKind::Backward, StreamKind::Jittered,
                           StreamKind::LineCrossing, StreamKind::StoreHeavy,
-                          StreamKind::Mixed, StreamKind::BucketAliased),
+                          StreamKind::Mixed, StreamKind::BucketAliased,
+                          StreamKind::RepeatHeavy),
         ::testing::Values(Geometry::Default, Geometry::GraphCc,
                           Geometry::PrefetchOff)),
     paramName);
