@@ -179,8 +179,11 @@ int main(int Argc, char **Argv) {
                 static_cast<double>(RR.SideTableBytesMax) / (1 << 20));
 
   uint64_t Violations = 0;
-  for (const KvRunRecord &RR : RunLog)
+  bool LoadExhausted = false;
+  for (const KvRunRecord &RR : RunLog) {
     Violations += RR.R.ConsistencyFailures + RR.R.ReadMisses;
+    LoadExhausted |= RR.R.LoadExhausted;
+  }
 
   if (!OutPath.empty()) {
     if (!writeJson(OutPath, P, RunLog)) {
@@ -189,6 +192,11 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     std::printf("\nwrote %s\n", OutPath.c_str());
+  }
+  if (LoadExhausted) {
+    std::fprintf(stderr, "bench_kv_ycsb: heap exhausted during load "
+                         "(raise --heap-mb or lower --records)\n");
+    return 1;
   }
   if (Violations) {
     std::fprintf(stderr, "bench_kv_ycsb: FAILED with %llu violations\n",

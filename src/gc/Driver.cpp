@@ -16,6 +16,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <iterator>
 
 using namespace hcsgc;
 
@@ -30,23 +31,14 @@ GcDriver::GcDriver(GcHeap &Heap, SafepointManager &SP, RuntimeHooks Hooks)
 
   MetricsRegistry &MR = Heap.metrics();
   Met.Cycles = &MR.counter("gc.cycles");
-  Met.RelocObjMut = &MR.counter("gc.reloc.objects_mutator");
-  Met.RelocObjGc = &MR.counter("gc.reloc.objects_gc");
-  Met.RelocBytesMut = &MR.counter("gc.reloc.bytes_mutator");
-  Met.RelocBytesGc = &MR.counter("gc.reloc.bytes_gc");
-  Met.LiveBytes = &MR.counter("gc.marked.live_bytes");
-  Met.HotBytes = &MR.counter("gc.marked.hot_bytes");
-  Met.EcSmallPages = &MR.counter("gc.ec.small_pages");
-  Met.EcMediumPages = &MR.counter("gc.ec.medium_pages");
-  Met.EmptyReclaimed = &MR.counter("gc.ec.empty_pages_reclaimed");
-  Met.TempHotBytes = &MR.counter("temp.hot_bytes");
-  Met.TempWarmBytes = &MR.counter("temp.warm_bytes");
-  Met.TempColdBytes = &MR.counter("temp.cold_bytes");
+  for (size_t I = 0; I < std::size(CycleCounts); ++I)
+    if (CycleCounts[I].Counter)
+      Met.Counts[I] = &MR.counter(CycleCounts[I].Counter);
   Met.TempAgingWalks = &MR.counter("temp.aging_walks");
-  Met.ColdRelocBytes = &MR.counter("coldpage.relocated_bytes");
   Met.PauseUs = &MR.histogram("gc.pause_us");
-  Met.MarkUs = &MR.histogram("gc.phase.mark_us");
-  Met.RelocUs = &MR.histogram("gc.phase.reloc_us");
+  for (size_t I = 0; I < std::size(CyclePhases); ++I)
+    Met.PhaseUs[I] = &MR.histogram(std::string("gc.phase.") +
+                                   CyclePhases[I].Name + "_us");
   Met.HotRatioPct = &MR.histogram("gc.hot_ratio_pct");
   Met.RelocBytesPerCycle = &MR.histogram("gc.reloc_bytes_per_cycle");
   Met.ColdResidentBytes = &MR.histogram("coldpage.resident_bytes");
@@ -242,20 +234,16 @@ void GcDriver::stwPause(GcPhase Phase, uint64_t Cycle,
 
 void GcDriver::recordCycle(const CycleRecord &Rec) {
   Heap.stats().addCycle(Rec);
+  Heap.snapshotter().commit(Rec);
   Met.Cycles->increment();
-  Met.RelocObjMut->add(Rec.ObjectsRelocatedByMutators);
-  Met.RelocObjGc->add(Rec.ObjectsRelocatedByGc);
-  Met.RelocBytesMut->add(Rec.BytesRelocatedByMutators);
-  Met.RelocBytesGc->add(Rec.BytesRelocatedByGc);
-  Met.LiveBytes->add(Rec.LiveBytesMarked);
-  Met.HotBytes->add(Rec.HotBytesMarked);
-  Met.EcSmallPages->add(Rec.SmallPagesInEc);
-  Met.EcMediumPages->add(Rec.MediumPagesInEc);
-  Met.EmptyReclaimed->add(Rec.EmptyPagesReclaimed);
+  for (size_t I = 0; I < std::size(CycleCounts); ++I)
+    if (Met.Counts[I])
+      Met.Counts[I]->add(Rec.*CycleCounts[I].Member);
   for (double Ms : {Rec.Stw1Ms, Rec.Stw2Ms, Rec.Stw3Ms})
     Met.PauseUs->record(static_cast<uint64_t>(Ms * 1000.0));
-  Met.MarkUs->record(static_cast<uint64_t>(Rec.MarkMs * 1000.0));
-  Met.RelocUs->record(static_cast<uint64_t>(Rec.RelocMs * 1000.0));
+  for (size_t I = 0; I < std::size(CyclePhases); ++I)
+    Met.PhaseUs[I]->record(
+        static_cast<uint64_t>(Rec.*CyclePhases[I].Ms * 1000.0));
   if (Rec.LiveBytesMarked > 0)
     Met.HotRatioPct->record(Rec.HotBytesMarked * 100 /
                             Rec.LiveBytesMarked);
@@ -263,7 +251,6 @@ void GcDriver::recordCycle(const CycleRecord &Rec) {
 }
 
 void GcDriver::drainRelocationSet(EcSet &Ec, CycleRecord &Rec) {
-  Stopwatch Sw;
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::PhaseBegin, Ec.Cycle,
               static_cast<uint64_t>(GcPhase::Relocate));
@@ -277,23 +264,30 @@ void GcDriver::drainRelocationSet(EcSet &Ec, CycleRecord &Rec) {
               TraceEventKind::PhaseEnd, Ec.Cycle,
               static_cast<uint64_t>(GcPhase::Relocate));
 
-  uint64_t ByMut = 0, ByGc = 0, BytesMut = 0, BytesGc = 0;
-  Heap.takeRelocationCounters(ByMut, ByGc, BytesMut, BytesGc);
-  if (uint64_t ColdBytes = Heap.takeColdRelocationBytes())
-    Met.ColdRelocBytes->add(ColdBytes);
-  Rec.ObjectsRelocatedByMutators += ByMut;
-  Rec.ObjectsRelocatedByGc += ByGc;
-  Rec.BytesRelocatedByMutators += BytesMut;
-  Rec.BytesRelocatedByGc += BytesGc;
-  Rec.BytesRelocated += BytesMut + BytesGc;
-  Rec.RelocMs += Sw.elapsedMs();
+  Heap.takeRelocationCounters(Rec);
   Rec.UsedAfterBytes = Heap.allocator().usedBytes();
+}
+
+void GcDriver::finishDeferredCycle() {
+  Stopwatch Drain;
+  drainRelocationSet(Pending->Ec, Pending->Rec);
+  double Ms = Drain.elapsedMs();
+  Pending->Rec.RelocMs += Ms;
+  Pending->Rec.WallMs += Ms;
+  recordCycle(Pending->Rec);
+  Pending.reset();
 }
 
 void GcDriver::runCycle(bool Emergency) {
   using namespace std::chrono_literals;
   const GcConfig &Cfg = Heap.config();
   CycleRecord Rec;
+
+  // Clock's laps close the CyclePhases back to back, so every step below
+  // lands in exactly one; Wall times the whole. The leading drain belongs
+  // to the previous cycle.
+  Stopwatch Wall, Clock;
+  double LeadMs = 0;
 
   // The cycle number STW1 will assign below; only the coordinator bumps
   // the counter, so reading it early is race-free. The trace marks the
@@ -315,11 +309,10 @@ void GcDriver::runCycle(bool Emergency) {
   // relocation set. The good color is still R, so the invariants match a
   // normal RE phase; mutators have had the whole inter-cycle window to
   // relocate in access order.
-  if (PendingEc) {
-    drainRelocationSet(*PendingEc, *PendingRecord);
-    recordCycle(*PendingRecord);
-    PendingEc.reset();
-    PendingRecord.reset();
+  if (Pending) {
+    Rec.AgingMs += Clock.lapMs();
+    finishDeferredCycle();
+    LeadMs = Clock.lapMs();
   }
 
   // Reset livemaps/hotmaps ahead of STW1. No thread writes marking
@@ -361,10 +354,10 @@ void GcDriver::runCycle(bool Emergency) {
     HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
                 TraceEventKind::HotmapReset, ThisCycle, NumPages);
   }
+  Rec.AgingMs += Clock.lapMs();
 
   // STW1: flip to the next mark color, retire allocation/relocation
   // target pages, scan and heal roots into the mark queue.
-  Stopwatch PauseSw;
   stwPause(GcPhase::Stw1, ThisCycle, [&] {
     Rec.Cycle = Heap.bumpCycle();
     LastMarkColor = nextMarkColor(LastMarkColor);
@@ -386,12 +379,11 @@ void GcDriver::runCycle(bool Emergency) {
         [&](std::atomic<Oop> *Slot) { markSlot(Heap, Slot, CoordCtx); });
     flushMarkBuffer(Heap, CoordCtx);
   });
-  Rec.Stw1Ms = PauseSw.elapsedMs();
+  Rec.Stw1Ms = Clock.lapMs();
   HCSGC_INJECT_DELAY(PhaseDelay);
 
   // Concurrent Mark/Remap with parallel workers; mutators cooperate via
   // their barrier slow paths and flush their stacks at polls.
-  Stopwatch MarkSw;
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::PhaseBegin, ThisCycle,
               static_cast<uint64_t>(GcPhase::Mark));
@@ -404,9 +396,9 @@ void GcDriver::runCycle(bool Emergency) {
       std::this_thread::sleep_for(100us);
 
     // STW2 candidate: flush mutator mark stacks; if marking is truly
-    // finished, end it inside the pause.
+    // finished, end it inside the pause. STW2 is timed inside mark.
     bool Done = false;
-    PauseSw.restart();
+    Stopwatch Stw2;
     stwPause(GcPhase::Stw2, ThisCycle, [&] {
       Heap.forEachContext([&](ThreadContext &C) {
         if (!C.IsGcThread)
@@ -419,12 +411,13 @@ void GcDriver::runCycle(bool Emergency) {
         Done = true;
       }
     });
-    if (Done)
+    if (Done) {
+      Rec.Stw2Ms = Stw2.elapsedMs();
       break;
+    }
   }
-  Rec.Stw2Ms = PauseSw.elapsedMs();
   waitTaskDone();
-  Rec.MarkMs = MarkSw.elapsedMs();
+  Rec.MarkMs = Clock.lapMs();
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::PhaseEnd, ThisCycle,
               static_cast<uint64_t>(GcPhase::Mark));
@@ -432,16 +425,9 @@ void GcDriver::runCycle(bool Emergency) {
 
   // The post-mark census: one walk reads every page's mark counters
   // (and, under TEMPERATURE, folds its livemap into tier bytes). EC
-  // selection, the cycle's snapshot and cold adoption below read its rows.
-  Heap.takeCensus(Rec.Cycle);
-  if (Cfg.Temperature) {
-    // Tier 2-3 objects were referenced recently enough to count as hot;
-    // tier 1 is cooling; tier 0 is the cold candidate mass.
-    const uint64_t *Tiers = Heap.census().TierBytes;
-    Met.TempHotBytes->add(Tiers[2] + Tiers[3]);
-    Met.TempWarmBytes->add(Tiers[1]);
-    Met.TempColdBytes->add(Tiers[0]);
-  }
+  // selection, the cycle's snapshot and cold adoption read its rows.
+  Heap.takeCensus(Rec);
+  Rec.CensusMs = Clock.lapMs();
 
   // Marking healed every reachable slot, so forwarding tables from the
   // previous cycle can never be consulted again: retire quarantined pages
@@ -450,24 +436,21 @@ void GcDriver::runCycle(bool Emergency) {
   Heap.allocator().releaseQuarantinedBefore(Rec.Cycle);
 
   // Concurrent EC selection; its verdicts land on the census rows.
-  EcSet Ec = selectEvacuationCandidates(Heap, CoordCtx);
-  Rec.SmallPagesInEc = Ec.SmallCount;
-  Rec.MediumPagesInEc = Ec.MediumCount;
-  Rec.EmptyPagesReclaimed = Ec.EmptyReclaimed;
-  Rec.LiveBytesMarked = Ec.LiveBytesTotal;
-  Rec.HotBytesMarked = Ec.HotBytesTotal;
+  EcSet Ec = selectEvacuationCandidates(Heap, CoordCtx, Rec);
+  Rec.EcSelectMs = Clock.lapMs();
 
   // The observatory's one capture per cycle: every census row in its
   // pre-EC state with EC's verdict, before the auto-tuner moves the
   // confidence the weights were computed under.
   Heap.captureSnapshot();
+  Rec.SnapshotMs = Clock.lapMs();
 
   // §4.8 feedback loop (future work in the paper, implemented here as an
   // optional knob): steer COLDCONFIDENCE toward the cold fraction of the
   // live set. A cold-heavy heap means hot objects are buried and worth
   // excavating (confidence up); a hot-dense heap means selection should
   // fall back to plain live bytes (confidence down). Exponential
-  // smoothing avoids oscillation.
+  // smoothing avoids oscillation. Timed with EC selection.
   if (Cfg.AutoTuneColdConfidence && Rec.LiveBytesMarked > 0) {
     double HotRatio = static_cast<double>(Rec.HotBytesMarked) /
                       static_cast<double>(Rec.LiveBytesMarked);
@@ -475,42 +458,45 @@ void GcDriver::runCycle(bool Emergency) {
     double Cur = Heap.effectiveColdConfidence();
     Heap.setEffectiveColdConfidence(0.6 * Cur + 0.4 * Target);
   }
+  HCSGC_INJECT_DELAY(PhaseDelay);
+  Rec.EcSelectMs += Clock.lapMs();
 
   // STW3: flip the good color to R (invalidating every pointer) and heal
   // all roots — relocating root-referenced EC objects on the spot, so
   // that "by the end of STW3, all roots pointing into EC are relocated".
-  HCSGC_INJECT_DELAY(PhaseDelay);
-  PauseSw.restart();
   stwPause(GcPhase::Stw3, ThisCycle, [&] {
     Heap.setGoodColor(PtrColor::R);
     Hooks.ForEachRoot([&](std::atomic<Oop> *Slot) {
       (void)loadBarrier(Heap, Slot, CoordCtx);
     });
   });
-  Rec.Stw3Ms = PauseSw.elapsedMs();
+  Rec.Stw3Ms = Clock.lapMs();
 
   // RE: either now (baseline ZGC) or deferred to the start of the next
   // cycle (LAZYRELOCATE), leaving relocation to mutators meanwhile. An
   // emergency cycle always drains immediately: its caller is about to
   // declare exhaustion and needs every reclaimable byte back now.
   HCSGC_INJECT_DELAY(PhaseDelay);
-  if (Cfg.LazyRelocate && !Emergency) {
-    PendingEc = std::move(Ec);
-    PendingRecord = Rec;
-  } else {
+  const bool Defer = Cfg.LazyRelocate && !Emergency;
+  if (!Defer)
     drainRelocationSet(Ec, Rec);
-    recordCycle(Rec);
-  }
 
   // Cold adoption: a settled page whose whole live population proved
   // cold joins the cold tier unless EC just selected it. Then sample the
-  // cold-resident bytes: live data the OS could page out first.
+  // cold-resident bytes: live data the OS could page out first. Timed
+  // with relocation.
   if (Cfg.Temperature && Cfg.ColdPage) {
     for (const CensusRow &Row : Heap.census().Rows)
       if (Row.AdoptCold && Row.Rec.Verdict != EcVerdict::Selected)
         Heap.allocator().notePageTier(Row.P, PageTier::Cold);
     Met.ColdResidentBytes->record(Heap.allocator().coldPageBytes());
   }
+  Rec.RelocMs += Clock.lapMs();
+  Rec.WallMs = Wall.elapsedMs() - LeadMs;
+  if (Defer)
+    Pending = Deferred{std::move(Ec), Rec};
+  else
+    recordCycle(Rec);
 
   HCSGC_TRACE(Heap.traceSession(), CoordCtx.Trace, true,
               TraceEventKind::CycleEnd, ThisCycle);
@@ -543,10 +529,6 @@ void GcDriver::coordinatorLoop() {
 
   // Drain any deferred relocation so statistics are complete and all
   // memory accounting is final before the runtime tears down.
-  if (PendingEc) {
-    drainRelocationSet(*PendingEc, *PendingRecord);
-    recordCycle(*PendingRecord);
-    PendingEc.reset();
-    PendingRecord.reset();
-  }
+  if (Pending)
+    finishDeferredCycle();
 }

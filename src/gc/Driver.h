@@ -25,6 +25,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -97,8 +98,14 @@ private:
   void runCycle(bool Emergency);
   void drainRelocationSet(EcSet &Ec, CycleRecord &Rec);
 
-  /// Commits a finished cycle record: appends it to GcStats and folds it
-  /// into the metrics registry (counters + pause/ratio histograms).
+  /// LAZYRELOCATE: drains the deferred relocation set, adds the drain's
+  /// time to its cycle's reloc phase and wall, and commits that record.
+  void finishDeferredCycle();
+
+  /// Commits a finished cycle record: appends it to GcStats, commits the
+  /// cycle's staged snapshot with it, and folds it into the metrics
+  /// registry. The only place the per-cycle gc.*, temp.*_bytes and
+  /// coldpage.relocated_bytes metrics move.
   void recordCycle(const CycleRecord &Rec);
 
   void startTask(Task T);
@@ -148,10 +155,13 @@ private:
   std::atomic<size_t> RelocNext{0};
   uint64_t RelocEcCycle = 0;
 
-  // LazyRelocate state: EC deferred to the next cycle, plus the
-  // statistics record still awaiting relocation attribution.
-  std::optional<EcSet> PendingEc;
-  std::optional<CycleRecord> PendingRecord;
+  // LazyRelocate state: EC deferred to the next cycle, plus the cycle's
+  // record still awaiting its drain.
+  struct Deferred {
+    EcSet Ec;
+    CycleRecord Rec;
+  };
+  std::optional<Deferred> Pending;
 
   PtrColor LastMarkColor = PtrColor::M1; // so the first cycle uses M0
 
@@ -159,23 +169,12 @@ private:
   // the constructor, update lock-free per cycle).
   struct {
     Counter *Cycles = nullptr;
-    Counter *RelocObjMut = nullptr;
-    Counter *RelocObjGc = nullptr;
-    Counter *RelocBytesMut = nullptr;
-    Counter *RelocBytesGc = nullptr;
-    Counter *LiveBytes = nullptr;
-    Counter *HotBytes = nullptr;
-    Counter *EcSmallPages = nullptr;
-    Counter *EcMediumPages = nullptr;
-    Counter *EmptyReclaimed = nullptr;
-    Counter *TempHotBytes = nullptr;
-    Counter *TempWarmBytes = nullptr;
-    Counter *TempColdBytes = nullptr;
+    /// One per CycleCounts entry; null where it names no counter.
+    Counter *Counts[std::size(CycleCounts)] = {};
     Counter *TempAgingWalks = nullptr;
-    Counter *ColdRelocBytes = nullptr;
     Histogram *PauseUs = nullptr;
-    Histogram *MarkUs = nullptr;
-    Histogram *RelocUs = nullptr;
+    /// gc.phase.<name>_us, one per CyclePhases entry.
+    Histogram *PhaseUs[std::size(CyclePhases)] = {};
     Histogram *HotRatioPct = nullptr;
     Histogram *RelocBytesPerCycle = nullptr;
     Histogram *ColdResidentBytes = nullptr;

@@ -45,8 +45,7 @@ struct Candidate {
 /// until at least \p RequiredFree bytes would be reclaimed, so allocation
 /// cannot outrun a fixed budget into OOM.
 static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
-                         double RequiredFree, std::vector<Candidate> &Out,
-                         uint64_t &Count) {
+                         double RequiredFree, std::vector<Candidate> &Out) {
   std::sort(Cands.begin(), Cands.end(),
             [](const Candidate &A, const Candidate &B) {
               if (A.Weight != B.Weight)
@@ -65,11 +64,11 @@ static void selectPrefix(std::vector<Candidate> &Cands, double Budget,
     Freed += static_cast<double>(C.Row->Rec.PageSize) -
              static_cast<double>(C.Row->Rec.LiveBytes);
     Out.push_back(C);
-    ++Count;
   }
 }
 
-EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
+EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
+                                        CycleRecord &Rec) {
   const GcConfig &Cfg = Heap.config();
   const HeapGeometry &Geo = Cfg.Geometry;
   PageCensus &Census = Heap.census();
@@ -99,8 +98,8 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
     // the mark counters exactly as the census read them.
     const uint64_t Live = R.LiveBytes;
     const uint64_t Hot = R.HotBytes;
-    Ec.LiveBytesTotal += Live;
-    Ec.HotBytesTotal += Hot;
+    Rec.LiveBytesMarked += Live;
+    Rec.HotBytesMarked += Hot;
 
     // A pinned pre-STW1 page is an in-use bump-allocation target that
     // survived resetAllocTargets — today that is exactly the persistent
@@ -121,10 +120,7 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
       // This covers large pages too ("we can decide whether that large
       // page should be kept or reclaimed right away", §2.2).
       R.Verdict = EcVerdict::DeadReclaimed;
-      ++Ec.EmptyReclaimed;
-      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                  TraceEventKind::EcPageReclaimed, Ec.Cycle, R.PageBegin,
-                  R.PageSize);
+      ++Rec.EmptyPagesReclaimed;
       Heap.allocator().releasePage(Row.P);
       Row.P = nullptr;
       continue;
@@ -134,15 +130,11 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
     case SnapSizeClass::Small: {
       // The census folded the tier bytes (all zeros without TEMPERATURE
       // or on a non-tracking page, which wlbTempFormula maps to plain
-      // live bytes — same as the replay). One weight per page: the
-      // considered and selected events carry the same value the
-      // threshold and budget tests use.
+      // live bytes — same as the replay). One weight per page: the row
+      // records the value the threshold and budget tests use.
       double W = Cfg.Temperature
                      ? wlbTempFormula(Live, R.TempBytes, Cfg.Hotness, EffCc)
                      : wlbFormula(Live, Hot, Cfg.Hotness, EffCc);
-      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                  TraceEventKind::EcPageConsidered, Ec.Cycle, R.PageBegin,
-                  Live, Hot, traceBitsFromDouble(W));
       if (Cfg.RelocateAllSmallPages) {
         // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
         // Candidates start as RejectedBudget and flip to Selected below;
@@ -196,19 +188,19 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
 
   std::vector<Candidate> Selected;
   if (Cfg.RelocateAllSmallPages) {
-    Ec.SmallCount = Small.size();
     Selected = std::move(Small);
   } else {
     Census.BudgetSmall = Cfg.EvacBudgetFraction *
                          static_cast<double>(Geo.SmallPageSize) *
                          Cfg.EvacBudgetPages;
-    selectPrefix(Small, Census.BudgetSmall, Census.RequiredFree, Selected,
-                 Ec.SmallCount);
+    selectPrefix(Small, Census.BudgetSmall, Census.RequiredFree, Selected);
   }
+  Rec.SmallPagesInEc = Selected.size();
   Census.BudgetMedium = Cfg.EvacBudgetFraction *
                         static_cast<double>(Geo.MediumPageSize) *
                         Cfg.EvacBudgetPages;
-  selectPrefix(Medium, Census.BudgetMedium, 0.0, Selected, Ec.MediumCount);
+  selectPrefix(Medium, Census.BudgetMedium, 0.0, Selected);
+  Rec.MediumPagesInEc = Selected.size() - Rec.SmallPagesInEc;
 
   // Install forwarding tables; mutators begin relocating these pages only
   // after STW3 flips the good color to R. The row keeps the page's
@@ -217,10 +209,6 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx) {
     CensusRow &Row = *C.Row;
     Row.Rec.Verdict = EcVerdict::Selected;
     Ec.Pages.push_back(Row.P);
-    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                TraceEventKind::EcPageSelected, Ec.Cycle, Row.Rec.PageBegin,
-                Row.Rec.LiveBytes, Row.Rec.HotBytes,
-                traceBitsFromDouble(C.Weight));
     Row.P->beginEvacuation(Heap.pageTable().base(),
                            Heap.pageTable().reservedBytes());
   }

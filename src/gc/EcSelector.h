@@ -35,15 +35,10 @@
 
 namespace hcsgc {
 
-/// Result of EC selection for one cycle.
+/// The relocation set EC selection chose for one cycle.
 struct EcSet {
   uint64_t Cycle = 0;
   std::vector<Page *> Pages; ///< Selected small + medium pages.
-  uint64_t SmallCount = 0;
-  uint64_t MediumCount = 0;
-  uint64_t EmptyReclaimed = 0; ///< Dead pages released without relocation.
-  uint64_t LiveBytesTotal = 0; ///< Marked live bytes across all pages.
-  uint64_t HotBytesTotal = 0;  ///< Marked hot bytes across all pages.
 };
 
 /// \returns the weighted live bytes of \p P under \p Cfg (plain live
@@ -65,16 +60,18 @@ double reclamationDemand(size_t UsedBytes, size_t QuarantinedBytes,
 /// verdict and weight and the census's budgets and reclamation demand,
 /// installs forwarding tables on the selected pages (transitioning them
 /// to RelocSource), and releases dead pages outright. \p Ctx is the
-/// calling thread's context (the cycle coordinator in production);
-/// selection decisions are traced through it, including the per-page
-/// WLB inputs the invariant tests check.
+/// calling thread's context (the cycle coordinator in production), which
+/// traces the ec_select phase. \p Rec receives the cycle's EC
+/// composition (small and medium pages selected, dead pages released)
+/// and the live and hot bytes of the pages judged.
 ///
 /// The rows then hold everything observe's replayEcSelection needs to
 /// re-run the decision offline and prove the §3.1.3 formula was honored
 /// (heapscope --replay, the snapshot invariant tests). Weights are
 /// computed through the same wlbFormula the replay uses, so the
 /// comparison is bit-exact.
-EcSet selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx);
+EcSet selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
+                                 CycleRecord &Rec);
 
 } // namespace hcsgc
 

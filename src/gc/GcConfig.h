@@ -130,8 +130,8 @@ struct GcConfig {
   /// Arm the heap locality observatory: after EC selection the driver
   /// captures one per-page snapshot per cycle (the post-mark census, each
   /// page carrying EC's verdict), into a bounded in-memory ring of
-  /// HeapSnapshotter::RingCaptures cycles. Disabled capture costs one
-  /// relaxed load per cycle.
+  /// HeapSnapshotter::RingCaptures cycles, each committed with its
+  /// cycle's record. Disabled capture costs one flag test per cycle.
   bool SnapshotLogEnabled = false;
   /// When non-empty, every capture is additionally streamed to this file
   /// as JSONL (one cycle per line; see tools/heapscope). A path that

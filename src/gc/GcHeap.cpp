@@ -74,17 +74,15 @@ GcHeap::GcHeap(const GcConfig &C)
   }
 }
 
-void GcHeap::takeCensus(uint64_t CensusCycle) {
+void GcHeap::takeCensus(CycleRecord &Rec) {
   static_assert(Page::TempTiers == SnapTempTiers &&
                     static_cast<int>(PageSizeClass::Large) ==
                         static_cast<int>(SnapSizeClass::Large) &&
                     static_cast<int>(PageState::Quarantined) ==
                         static_cast<int>(SnapPageState::Quarantined),
                 "census rows mirror Page values in PageRecord");
-  Census.Cycle = CensusCycle;
+  const uint64_t CensusCycle = Census.Cycle = Rec.Cycle;
   Census.ColdConfidence = effectiveColdConfidence();
-  for (uint64_t &B : Census.TierBytes)
-    B = 0;
   Census.Rows.clear();
   Census.BudgetSmall = Census.BudgetMedium = Census.RequiredFree = 0.0;
   uint64_t SideBytes = 0;
@@ -116,9 +114,11 @@ void GcHeap::takeCensus(uint64_t CensusCycle) {
       P.accumulateTempTierBytes(R.TempBytes, ProvenCold);
       R.Wlb = wlbTempFormula(R.LiveBytes, R.TempBytes, Cfg.Hotness,
                              Census.ColdConfidence);
-      if (Settled)
-        for (unsigned T = 0; T < Page::TempTiers; ++T)
-          Census.TierBytes[T] += R.TempBytes[T];
+      if (Settled) {
+        Rec.TempHotBytes += R.TempBytes[2] + R.TempBytes[3];
+        Rec.TempWarmBytes += R.TempBytes[1];
+        Rec.TempColdBytes += R.TempBytes[0];
+      }
       // Adoption: all-cold pages keep WLB == live bytes (§3.1.3: nothing
       // to excavate), so EC never re-selects them and relocation never
       // routes their objects to a cold destination; without adoption
@@ -170,7 +170,7 @@ void GcHeap::captureSnapshot() {
       S.Sites.push_back(std::move(R));
     }
   }
-  Snap.commit(std::move(S));
+  Snap.stage(std::move(S));
 }
 
 void GcHeap::registerContext(ThreadContext *Ctx) {

@@ -193,9 +193,6 @@ struct PageCensus {
   uint64_t Cycle = 0;
   /// Effective COLDCONFIDENCE the row WLBs were computed under.
   double ColdConfidence = 0.0;
-  /// Per-tier live bytes summed over the pages that predate the cycle
-  /// (TEMPERATURE only, else zeros).
-  uint64_t TierBytes[Page::TempTiers] = {0, 0, 0, 0};
   std::vector<CensusRow> Rows;
   /// The budgets and reclamation demand EC selection ran under (zero
   /// until it runs).
@@ -248,15 +245,16 @@ public:
 
   /// Coordinator-only, after mark termination: walks the allocator's
   /// lock-free active-page registries once and refills the census for
-  /// \p CensusCycle (no shard lock is taken, asserted by
+  /// \p Rec's cycle (no shard lock is taken, asserted by
   /// SnapshotInvariantTest via alloc.shard.lock_acquisitions). Under
-  /// TEMPERATURE the walk also folds each page's livemap into tier bytes.
-  void takeCensus(uint64_t CensusCycle);
+  /// TEMPERATURE the walk also folds each page's livemap into tier bytes
+  /// and adds those of the pages that predate the cycle to \p Rec.
+  void takeCensus(CycleRecord &Rec);
   PageCensus &census() { return Census; }
 
-  /// Commits the census, every row with EC's verdict, as this cycle's
-  /// snapshot to the snapshotter's ring / JSONL stream. No-op unless
-  /// snapshot logging is armed.
+  /// Stages the census, every row with EC's verdict, as this cycle's
+  /// snapshot; the driver commits it with the cycle's record
+  /// (HeapSnapshotter::commit). No-op unless snapshot logging is armed.
   void captureSnapshot();
 
   // --- Colors and phase ----------------------------------------------------
@@ -342,12 +340,9 @@ public:
   }
 
   /// Bytes relocated into cold-tier destination pages (TEMPERATURE +
-  /// COLDPAGE); drained per cycle into coldpage.relocated_bytes.
+  /// COLDPAGE).
   void countColdRelocation(size_t Bytes) {
     ColdRelocBytes.fetch_add(Bytes, std::memory_order_relaxed);
-  }
-  uint64_t takeColdRelocationBytes() {
-    return ColdRelocBytes.exchange(0, std::memory_order_relaxed);
   }
 
   /// COLDCONFIDENCE actually used by EC selection this cycle: the
@@ -372,16 +367,19 @@ public:
     AllocatedSinceCycle.store(0, std::memory_order_relaxed);
   }
 
-  /// Reads and clears the relocation attribution counters; the total byte
-  /// count is the sum of the two per-actor byte counts.
-  void takeRelocationCounters(uint64_t &ByMutator, uint64_t &ByGc,
-                              uint64_t &BytesMutator,
-                              uint64_t &BytesGc) {
-    ByMutator = RelocByMutator.exchange(0, std::memory_order_relaxed);
-    ByGc = RelocByGc.exchange(0, std::memory_order_relaxed);
-    BytesMutator =
-        RelocBytesByMutator.exchange(0, std::memory_order_relaxed);
-    BytesGc = RelocBytesByGc.exchange(0, std::memory_order_relaxed);
+  /// Moves the relocation counted since the last call into \p Rec:
+  /// objects and bytes by actor, their byte total, and the bytes that
+  /// landed on cold-tier pages.
+  void takeRelocationCounters(CycleRecord &Rec) {
+    constexpr auto Relaxed = std::memory_order_relaxed;
+    uint64_t BytesMut = RelocBytesByMutator.exchange(0, Relaxed);
+    uint64_t BytesGc = RelocBytesByGc.exchange(0, Relaxed);
+    Rec.ObjectsRelocatedByMutators += RelocByMutator.exchange(0, Relaxed);
+    Rec.ObjectsRelocatedByGc += RelocByGc.exchange(0, Relaxed);
+    Rec.BytesRelocatedByMutators += BytesMut;
+    Rec.BytesRelocatedByGc += BytesGc;
+    Rec.BytesRelocated += BytesMut + BytesGc;
+    Rec.ColdRelocatedBytes += ColdRelocBytes.exchange(0, Relaxed);
   }
 
 private:

@@ -10,36 +10,22 @@
 /// and the number of small pages in EC per cycle (from which the harness
 /// computes the "average of median small pages relocated per run"), plus
 /// relocation attribution (mutator vs GC threads) used by the tests and
-/// the ablation benchmarks.
+/// the ablation benchmarks. The record itself (CycleRecord) is plain data
+/// in observe/HeapSnapshot.h, so a cycle's snapshot line can carry it;
+/// this is its store.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCSGC_GC_GCSTATS_H
 #define HCSGC_GC_GCSTATS_H
 
+#include "observe/HeapSnapshot.h"
+
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 namespace hcsgc {
-
-/// Statistics for one completed GC cycle.
-struct CycleRecord {
-  uint64_t Cycle = 0;
-  uint64_t SmallPagesInEc = 0;
-  uint64_t MediumPagesInEc = 0;
-  uint64_t EmptyPagesReclaimed = 0;
-  uint64_t LiveBytesMarked = 0;
-  uint64_t HotBytesMarked = 0;
-  uint64_t ObjectsRelocatedByMutators = 0;
-  uint64_t ObjectsRelocatedByGc = 0;
-  uint64_t BytesRelocatedByMutators = 0;
-  uint64_t BytesRelocatedByGc = 0;
-  uint64_t BytesRelocated = 0;
-  uint64_t UsedAfterBytes = 0;
-  double Stw1Ms = 0, Stw2Ms = 0, Stw3Ms = 0;
-  double MarkMs = 0, RelocMs = 0;
-};
 
 /// Thread-safe accumulator of per-cycle records.
 class GcStats {

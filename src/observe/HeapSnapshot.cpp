@@ -177,13 +177,8 @@ HeapSnapshotter::~HeapSnapshotter() {
     std::fclose(Stream);
 }
 
-bool HeapSnapshotter::configure(bool Enabled, const std::string &JsonlPath) {
-  std::lock_guard<std::mutex> G(Lock);
-  if (Stream) {
-    std::fclose(Stream);
-    Stream = nullptr;
-  }
-  EnabledFlag.store(Enabled, std::memory_order_relaxed);
+bool HeapSnapshotter::configure(bool On, const std::string &JsonlPath) {
+  Enabled = On;
   if (JsonlPath.empty())
     return true;
   Stream = std::fopen(JsonlPath.c_str(), "w");
@@ -196,34 +191,31 @@ void HeapSnapshotter::bindMetrics(MetricsRegistry &MR) {
   DroppedRecords = &MR.counter("snapshot.dropped_records");
 }
 
-void HeapSnapshotter::commit(CycleSnapshot &&S) {
-  size_t NumPages = S.Pages.size();
+void HeapSnapshotter::stage(CycleSnapshot &&S) {
+  std::lock_guard<std::mutex> G(Lock);
+  Staged = std::move(S);
+}
+
+void HeapSnapshotter::commit(const CycleRecord &R) {
+  size_t NumPages;
   uint64_t Dropped;
   {
     std::lock_guard<std::mutex> G(Lock);
+    if (!Staged || Staged->Cycle != R.Cycle)
+      return;
+    Staged->Record = R;
+    NumPages = Staged->Pages.size();
     if (Stream)
-      writeSnapshotJsonl(S, Stream);
-    Dropped = Ring.push(std::move(S));
+      writeSnapshotJsonl(*Staged, Stream);
+    Dropped = Ring.push(std::move(*Staged));
+    Staged.reset();
   }
-  if (Captures)
-    Captures->increment();
-  if (PagesRecorded)
-    PagesRecorded->add(NumPages);
-  if (DroppedRecords && Dropped)
-    DroppedRecords->add(Dropped);
+  Captures->increment();
+  PagesRecorded->add(NumPages);
+  DroppedRecords->add(Dropped);
 }
 
 std::vector<CycleSnapshot> HeapSnapshotter::history() const {
   std::lock_guard<std::mutex> G(Lock);
   return Ring.history();
-}
-
-bool HeapSnapshotter::dumpTo(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  for (const CycleSnapshot &S : history())
-    writeSnapshotJsonl(S, F);
-  std::fclose(F);
-  return true;
 }

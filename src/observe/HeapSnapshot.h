@@ -7,13 +7,13 @@
 ///
 /// \file
 /// The heap locality observatory's data model: once per cycle, right
-/// after EC selection, the driver commits one compact record per page of
+/// after EC selection, the driver captures one compact record per page of
 /// the post-mark census (live/hot bytes, WLB, state, pin, relocation
 /// attribution) in its pre-EC state, each carrying the selector's verdict
 /// and weight, plus the knob values and budgets the selection ran under.
 /// That is EC's full decision record: every candidate page's WLB inputs
-/// and the accept/reject verdict. Snapshots land in a bounded in-memory
-/// ring and, optionally, stream to a JSONL file (SnapshotLog.h).
+/// and the accept/reject verdict, committed with the cycle's CycleRecord
+/// into a bounded in-memory ring and, optionally, a JSONL stream.
 ///
 /// Everything here is plain data, deliberately free of heap types: the
 /// observe layer sits below hcsgc_heap in the link order (heap links
@@ -29,11 +29,11 @@
 
 #include "observe/Metrics.h"
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -198,10 +198,98 @@ inline const char *snapSiteRouteName(uint8_t Route) {
   }
 }
 
-/// One cycle: every census page with EC's verdict, the site profile,
-/// and the knob values and budgets the selection ran under.
+/// One GC cycle as the driver saw it. GcStats keeps one per cycle, the
+/// cycle's snapshot line carries it, and GcDriver::recordCycle folds it
+/// into every per-cycle metric (INTERNALS §12).
+struct CycleRecord {
+  uint64_t Cycle = 0;
+  uint64_t SmallPagesInEc = 0;
+  uint64_t MediumPagesInEc = 0;
+  uint64_t EmptyPagesReclaimed = 0;
+  uint64_t LiveBytesMarked = 0;
+  uint64_t HotBytesMarked = 0;
+  uint64_t ObjectsRelocatedByMutators = 0;
+  uint64_t ObjectsRelocatedByGc = 0;
+  uint64_t BytesRelocatedByMutators = 0;
+  uint64_t BytesRelocatedByGc = 0;
+  uint64_t BytesRelocated = 0;
+  uint64_t UsedAfterBytes = 0;
+  /// Bytes relocated onto cold-tier pages (TEMPERATURE + COLDPAGE).
+  uint64_t ColdRelocatedBytes = 0;
+  /// The census's live bytes by temperature tier over the pages that
+  /// predate the cycle (TEMPERATURE only): tiers 2-3 were referenced
+  /// recently enough to count as hot, tier 1 is cooling, tier 0 is the
+  /// cold candidate mass.
+  uint64_t TempHotBytes = 0, TempWarmBytes = 0, TempColdBytes = 0;
+  double Stw1Ms = 0, Stw2Ms = 0, Stw3Ms = 0;
+  double MarkMs = 0, RelocMs = 0;
+  double AgingMs = 0, CensusMs = 0, EcSelectMs = 0, SnapshotMs = 0;
+  /// This cycle's runCycle minus its leading drain of the previous
+  /// cycle's deferred set, plus (LAZYRELOCATE) its own drain at the next
+  /// cycle's start. The CyclePhases partition it.
+  double WallMs = 0;
+
+  friend bool operator==(const CycleRecord &, const CycleRecord &) = default;
+};
+
+/// One counter of the record: its snapshot-line member, the metrics
+/// counter recordCycle adds it to (null: none), and the member.
+struct CycleCount {
+  const char *Key;
+  const char *Counter;
+  uint64_t CycleRecord::*Member;
+};
+
+inline constexpr CycleCount CycleCounts[] = {
+    {"small_pages_in_ec", "gc.ec.small_pages", &CycleRecord::SmallPagesInEc},
+    {"medium_pages_in_ec", "gc.ec.medium_pages",
+     &CycleRecord::MediumPagesInEc},
+    {"empty_pages_reclaimed", "gc.ec.empty_pages_reclaimed",
+     &CycleRecord::EmptyPagesReclaimed},
+    {"live_bytes", "gc.marked.live_bytes", &CycleRecord::LiveBytesMarked},
+    {"hot_bytes", "gc.marked.hot_bytes", &CycleRecord::HotBytesMarked},
+    {"objects_reloc_mut", "gc.reloc.objects_mutator",
+     &CycleRecord::ObjectsRelocatedByMutators},
+    {"objects_reloc_gc", "gc.reloc.objects_gc",
+     &CycleRecord::ObjectsRelocatedByGc},
+    {"bytes_reloc_mut", "gc.reloc.bytes_mutator",
+     &CycleRecord::BytesRelocatedByMutators},
+    {"bytes_reloc_gc", "gc.reloc.bytes_gc", &CycleRecord::BytesRelocatedByGc},
+    {"bytes_reloc", nullptr, &CycleRecord::BytesRelocated},
+    {"used_after", nullptr, &CycleRecord::UsedAfterBytes},
+    {"cold_reloc", "coldpage.relocated_bytes",
+     &CycleRecord::ColdRelocatedBytes},
+    {"temp_hot", "temp.hot_bytes", &CycleRecord::TempHotBytes},
+    {"temp_warm", "temp.warm_bytes", &CycleRecord::TempWarmBytes},
+    {"temp_cold", "temp.cold_bytes", &CycleRecord::TempColdBytes},
+};
+
+/// One timed phase: its name (gc.phase.<name>_us, the line's <name>_ms,
+/// heapscope's column) and the member holding its time.
+struct CyclePhase {
+  const char *Name;
+  double CycleRecord::*Ms;
+};
+
+/// The phases that partition CycleRecord::WallMs, in the order a cycle
+/// runs them. STW2 is not one: it ends marking and is timed inside mark.
+inline constexpr CyclePhase CyclePhases[] = {
+    {"aging", &CycleRecord::AgingMs},
+    {"stw1", &CycleRecord::Stw1Ms},
+    {"mark", &CycleRecord::MarkMs},
+    {"census", &CycleRecord::CensusMs},
+    {"ec_select", &CycleRecord::EcSelectMs},
+    {"snapshot", &CycleRecord::SnapshotMs},
+    {"stw3", &CycleRecord::Stw3Ms},
+    {"reloc", &CycleRecord::RelocMs},
+};
+
+/// One cycle: its record, every census page with EC's verdict, the site
+/// profile, and the knob values and budgets the selection ran under.
 struct CycleSnapshot {
   uint64_t Cycle = 0;
+  /// The cycle's finished record (Record.Cycle == Cycle).
+  CycleRecord Record;
   uint64_t TimeNs = 0; ///< Trace-session clock at capture.
   double ColdConfidence = 0.0; ///< Effective value (auto-tuner aware).
   double EvacLiveThreshold = 0.0;
@@ -242,19 +330,17 @@ public:
   std::vector<CycleSnapshot> history() const {
     return {Ring.begin(), Ring.end()};
   }
-  size_t size() const { return Ring.size(); }
 
 private:
   const size_t Capacity;
   std::deque<CycleSnapshot> Ring;
 };
 
-/// Owns the ring and the optional JSONL stream; the GcHeap holds one and
-/// the driver commits through it once per cycle. The enabled
-/// gate is one relaxed load, so a disabled observatory costs nothing on
-/// the cycle path. Commit/history synchronize on the snapshotter's own
-/// mutex only — capture itself never touches an allocator shard lock
-/// (asserted via alloc.shard.lock_acquisitions in the invariant tests).
+/// Owns the ring and the optional JSONL stream; the GcHeap holds one.
+/// A capture is staged after EC selection and committed with its
+/// cycle's record, so the ring, the JSONL file and GcStats hold the same
+/// cycles. Capture never takes an allocator shard lock (asserted via
+/// alloc.shard.lock_acquisitions in the invariant tests).
 class HeapSnapshotter {
 public:
   /// Captures retained in memory (one per cycle when enabled); older
@@ -267,36 +353,33 @@ public:
   HeapSnapshotter(const HeapSnapshotter &) = delete;
   HeapSnapshotter &operator=(const HeapSnapshotter &) = delete;
 
-  /// Applies the GcConfig::SnapshotLog* knobs: arms the ring and, when
-  /// \p JsonlPath is non-empty, opens the streaming JSONL file.
-  /// \returns false if that file cannot be opened.
+  /// Applies the GcConfig::SnapshotLog* knobs at heap construction: arms
+  /// the ring and, when \p JsonlPath is non-empty, opens the streaming
+  /// JSONL file. \returns false if that file cannot be opened.
   bool configure(bool Enabled, const std::string &JsonlPath);
 
-  bool enabled() const {
-    return EnabledFlag.load(std::memory_order_relaxed);
-  }
-  void setEnabled(bool On) {
-    EnabledFlag.store(On, std::memory_order_relaxed);
-  }
+  bool enabled() const { return Enabled; }
 
   /// Registers the snapshot.* counters. Called once by the GcHeap ctor
   /// (always, so the metric names exist even when capture is off).
   void bindMetrics(MetricsRegistry &MR);
 
-  /// Appends one capture to the ring (dropping the oldest past capacity)
-  /// and streams it to the JSONL file when one is open.
-  void commit(CycleSnapshot &&S);
+  /// Holds \p S until commit() brings its cycle's record, replacing any
+  /// capture still staged.
+  void stage(CycleSnapshot &&S);
+
+  /// Completes the staged capture of R.Cycle, if any, with \p R, appends
+  /// it to the ring (dropping the oldest past capacity) and streams it to
+  /// the JSONL file when one is open.
+  void commit(const CycleRecord &R);
 
   /// Copy of the retained captures, oldest first.
   std::vector<CycleSnapshot> history() const;
 
-  /// Writes every retained capture as JSONL to \p Path (independent of
-  /// the streaming file). \returns false if the file cannot be opened.
-  bool dumpTo(const std::string &Path) const;
-
 private:
-  std::atomic<bool> EnabledFlag{false};
+  bool Enabled = false;
   mutable std::mutex Lock;
+  std::optional<CycleSnapshot> Staged;
   SnapshotRing Ring{RingCaptures};
   std::FILE *Stream = nullptr;
   Counter *Captures = nullptr;

@@ -86,6 +86,26 @@ void appendSite(std::string &Out, const SiteRecord &R) {
   appendf(Out, ",\"route\":\"%s\"}", snapSiteRouteName(R.Route));
 }
 
+/// The record without its cycle (the line's top-level cycle is the only
+/// cycle number): its CycleCounts, then each CyclePhases time as
+/// <name>_ms, stw2_ms and wall_ms.
+void appendRecord(std::string &Out, const CycleRecord &R) {
+  char Sep = '{';
+  for (const CycleCount &C : CycleCounts) {
+    appendf(Out, "%c\"%s\":%" PRIu64, Sep, C.Key, R.*C.Member);
+    Sep = ',';
+  }
+  for (const CyclePhase &Ph : CyclePhases) {
+    appendf(Out, ",\"%s_ms\":", Ph.Name);
+    appendDouble(Out, R.*Ph.Ms);
+  }
+  Out += ",\"stw2_ms\":";
+  appendDouble(Out, R.Stw2Ms);
+  Out += ",\"wall_ms\":";
+  appendDouble(Out, R.WallMs);
+  Out += '}';
+}
+
 /// Strict member access for one JSON object: every reader fails on an
 /// absent member ("missing <key>") or a value of the wrong shape ("bad
 /// <key>: ..."), never defaulting it, so a truncated or foreign log is
@@ -210,6 +230,23 @@ bool parsePage(const JsonValue &J, PageRecord &R, std::string &Error) {
          F.flag("pinned", R.Pinned) && F.oneOf("tier", tierName, 4, R.Tier);
 }
 
+bool parseRecord(const JsonValue &J, CycleRecord &R, std::string &Error) {
+  if (J.isNull())
+    return (Error = "missing record"), false;
+  if (!J.isObject())
+    return (Error = "bad record: not an object"), false;
+  FieldReader F(J, Error);
+  bool Ok = true;
+  for (const CycleCount &C : CycleCounts)
+    Ok = Ok && F.u64(C.Key, R.*C.Member);
+  for (const CyclePhase &Ph : CyclePhases)
+    Ok = Ok && F.number((std::string(Ph.Name) + "_ms").c_str(), R.*Ph.Ms);
+  Ok = Ok && F.number("stw2_ms", R.Stw2Ms) && F.number("wall_ms", R.WallMs);
+  if (!Ok)
+    Error = "record: " + Error;
+  return Ok;
+}
+
 bool parseSite(const JsonValue &J, SiteRecord &R, std::string &Error) {
   if (!J.isObject())
     return (Error = "not an object"), false;
@@ -245,9 +282,10 @@ bool parseArray(const JsonValue &J, const char *Key, const char *Kind,
 
 std::string hcsgc::snapshotToJson(const CycleSnapshot &S) {
   std::string Out;
-  Out.reserve(256 + S.Pages.size() * 200 + S.Sites.size() * 160);
-  appendf(Out, "{\"cycle\":%" PRIu64 ",\"time_ns\":%" PRIu64, S.Cycle,
-          S.TimeNs);
+  Out.reserve(1024 + S.Pages.size() * 200 + S.Sites.size() * 160);
+  appendf(Out, "{\"cycle\":%" PRIu64 ",\"record\":", S.Cycle);
+  appendRecord(Out, S.Record);
+  appendf(Out, ",\"time_ns\":%" PRIu64, S.TimeNs);
   Out += ",\"cold_confidence\":";
   appendDouble(Out, S.ColdConfidence);
   Out += ",\"evac_live_threshold\":";
@@ -293,10 +331,14 @@ bool hcsgc::parseSnapshotLine(const std::string &Line, CycleSnapshot &Out,
   Out = CycleSnapshot();
   FieldReader F(J, Error);
   // The pages before the cycle-wide fields, so a line of another schema
-  // fails on its first page row, the part a replay reads.
-  return F.u64("cycle", Out.Cycle) &&
-         parseArray(J, "pages", "page", parsePage, Out.Pages, Error) &&
-         F.u64("time_ns", Out.TimeNs) &&
+  // fails on its first page row, the part a replay reads; then the
+  // record, so a line that predates it fails naming exactly that.
+  if (!F.u64("cycle", Out.Cycle) ||
+      !parseArray(J, "pages", "page", parsePage, Out.Pages, Error) ||
+      !parseRecord(J["record"], Out.Record, Error))
+    return false;
+  Out.Record.Cycle = Out.Cycle;
+  return F.u64("time_ns", Out.TimeNs) &&
          F.number("cold_confidence", Out.ColdConfidence) &&
          F.number("evac_live_threshold", Out.EvacLiveThreshold) &&
          F.number("budget_small", Out.BudgetSmall) &&

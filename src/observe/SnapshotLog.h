@@ -8,14 +8,17 @@
 /// \file
 /// Serialization for the heap locality observatory: one JSON object per
 /// cycle per line (JSONL), so a streaming writer never needs to hold
-/// more than one capture and a reader can filter by line. The reader is
-/// strict: a missing member, a malformed address, a negative or
-/// fractional byte count or an unknown enum name fails the line. Conventions
-/// shared with the trace exporter: addresses are hex strings (they do
-/// not fit a double exactly), doubles are printed with %.17g so WLB
-/// weights and budgets round-trip bit-exactly through strtod — the
-/// heapscope --replay check and the snapshot invariant tests compare
-/// them with operator==.
+/// more than one capture and a reader can filter by line. Each line opens
+/// with the cycle number and its CycleRecord (the "record" object: EC
+/// composition, relocation attribution, tier bytes and the phase times
+/// in ms), then the knobs, the census rows and the site rows. The reader
+/// is strict: a missing member (the record included), a malformed
+/// address, a negative or fractional byte count or an unknown enum name
+/// fails the line. Conventions shared with the trace exporter: addresses
+/// are hex strings (they do not fit a double exactly), doubles are
+/// printed with %.17g so WLB weights, budgets and phase times round-trip
+/// bit-exactly through strtod — the heapscope --replay check and the
+/// snapshot invariant tests compare them with operator==.
 ///
 //===----------------------------------------------------------------------===//
 

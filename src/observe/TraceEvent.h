@@ -43,7 +43,9 @@ enum class TraceEventKind : uint8_t {
   CycleBegin,
   /// runCycle finished (its own EC may still be pending under lazy).
   CycleEnd,
-  /// A = GcPhase. Brackets the concurrent phases.
+  /// A = GcPhase. Brackets the concurrent phases. PhaseBegin(EcSelect)
+  /// also carries B = the effective COLDCONFIDENCE (bit-cast double) and
+  /// C = the HOTNESS knob.
   PhaseBegin,
   PhaseEnd,
   /// A = GcPhase (Stw1/Stw2/Stw3). Brackets a stop-the-world pause,
@@ -54,17 +56,6 @@ enum class TraceEventKind : uint8_t {
   /// beginning of each M/R phase", §3.1.2). A = pages cleared. Cycle =
   /// the upcoming cycle.
   HotmapReset,
-  /// A small page was evaluated under the WLB rule during EC selection.
-  /// A = page begin address, B = live bytes, C = hot bytes,
-  /// D = bit-cast WLB (double). The effective COLDCONFIDENCE rides on
-  /// the enclosing PhaseBegin(EcSelect) event (its A, bit-cast double).
-  EcPageConsidered,
-  /// A page entered the evacuation candidate set. A = page begin,
-  /// B = live bytes, C = hot bytes, D = bit-cast selection weight.
-  EcPageSelected,
-  /// A fully-dead page was reclaimed without relocation. A = page begin,
-  /// B = page size.
-  EcPageReclaimed,
   /// An object transitioned cold -> hot in the hotmap. A = object
   /// address, B = object bytes. GcThread tells which §3.1.2 source fired
   /// (marker R-color scan vs mutator barrier slow path).
@@ -110,12 +101,6 @@ inline const char *traceEventKindName(TraceEventKind K) {
     return "pause_end";
   case TraceEventKind::HotmapReset:
     return "hotmap_reset";
-  case TraceEventKind::EcPageConsidered:
-    return "ec_page_considered";
-  case TraceEventKind::EcPageSelected:
-    return "ec_page_selected";
-  case TraceEventKind::EcPageReclaimed:
-    return "ec_page_reclaimed";
   case TraceEventKind::HotFlag:
     return "hot_flag";
   case TraceEventKind::Relocation:
@@ -146,7 +131,7 @@ inline const char *gcPhaseName(GcPhase P) {
   return "unknown";
 }
 
-/// Bit-cast helpers for double payloads (WLB weights, confidences).
+/// Bit-cast helpers for double payloads (confidences).
 inline uint64_t traceBitsFromDouble(double D) {
   uint64_t U;
   std::memcpy(&U, &D, sizeof(U));

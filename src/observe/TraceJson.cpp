@@ -74,19 +74,6 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
   case TraceEventKind::HotmapReset:
     appendf(Out, ",\"pages\":%" PRIu64, E.A);
     break;
-  case TraceEventKind::EcPageConsidered:
-  case TraceEventKind::EcPageSelected:
-    Out += ',';
-    appendHex(Out, "page", E.A);
-    appendf(Out, ",\"live_bytes\":%" PRIu64 ",\"hot_bytes\":%" PRIu64
-                 ",\"wlb\":%.17g",
-            E.B, E.C, traceDoubleFromBits(E.D));
-    break;
-  case TraceEventKind::EcPageReclaimed:
-    Out += ',';
-    appendHex(Out, "page", E.A);
-    appendf(Out, ",\"page_bytes\":%" PRIu64, E.B);
-    break;
   case TraceEventKind::HotFlag:
     Out += ',';
     appendHex(Out, "addr", E.A);
@@ -138,9 +125,8 @@ bool phaseFromName(const std::string &Name, GcPhase &Out) {
 
 bool instantFromName(const std::string &Name, TraceEventKind &Out) {
   for (TraceEventKind K :
-       {TraceEventKind::HotmapReset, TraceEventKind::EcPageConsidered,
-        TraceEventKind::EcPageSelected, TraceEventKind::EcPageReclaimed,
-        TraceEventKind::HotFlag, TraceEventKind::Relocation,
+       {TraceEventKind::HotmapReset, TraceEventKind::HotFlag,
+        TraceEventKind::Relocation,
         TraceEventKind::AllocStall, TraceEventKind::EmergencyCycle})
     if (Name == traceEventKindName(K)) {
       Out = K;
@@ -163,12 +149,15 @@ std::string hcsgc::chromeTraceToString(const CollectedTrace &T) {
     if (!First)
       Out += ',';
     First = false;
+    // The thread's own ring drops ride its metadata, so a reader can
+    // tell which thread's events are incomplete.
     appendf(Out,
             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-            "\"tid\":%u,\"args\":{\"name\":\"%s-%u\"}}",
+            "\"tid\":%u,\"args\":{\"name\":\"%s-%u\","
+            "\"dropped\":%" PRIu64 "}}",
             static_cast<unsigned>(Info.Tid),
             Info.GcThread ? "gc" : "mutator",
-            static_cast<unsigned>(Info.Tid));
+            static_cast<unsigned>(Info.Tid), Info.Dropped);
   }
   for (const TraceEvent &E : T.Events) {
     if (!First)
@@ -212,6 +201,7 @@ bool hcsgc::readChromeTrace(const std::string &Text, CollectedTrace &Out,
         Info.Tid = Tid;
         Info.GcThread =
             EV["args"]["name"].stringOr("").rfind("gc", 0) == 0;
+        Info.Dropped = numArg(EV["args"], "dropped");
       }
       continue;
     }
@@ -247,17 +237,6 @@ bool hcsgc::readChromeTrace(const std::string &Text, CollectedTrace &Out,
       switch (Instant) {
       case TraceEventKind::HotmapReset:
         E.A = numArg(Args, "pages");
-        break;
-      case TraceEventKind::EcPageConsidered:
-      case TraceEventKind::EcPageSelected:
-        E.A = hexArg(Args, "page");
-        E.B = numArg(Args, "live_bytes");
-        E.C = numArg(Args, "hot_bytes");
-        E.D = traceBitsFromDouble(Args["wlb"].numberOr(0));
-        break;
-      case TraceEventKind::EcPageReclaimed:
-        E.A = hexArg(Args, "page");
-        E.B = numArg(Args, "page_bytes");
         break;
       case TraceEventKind::HotFlag:
         E.A = hexArg(Args, "addr");

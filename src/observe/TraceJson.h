@@ -10,10 +10,11 @@
 /// (the `{"traceEvents":[...]}` object form, loadable in chrome://tracing
 /// and Perfetto) and reads such a file back into TraceEvents. Phases and
 /// pauses become duration ("B"/"E") events; per-object facts (hot flags,
-/// relocations, EC decisions) become thread-scoped instant ("i") events
-/// with their payload in args. Addresses are emitted as hex strings so
-/// they survive the double-typed JSON number space exactly; WLB weights
-/// and confidences are emitted as JSON doubles.
+/// relocations, allocation stalls) become thread-scoped instant ("i")
+/// events with their payload in args. Each thread's metadata carries the
+/// events its ring dropped. Addresses are emitted as hex strings so they
+/// survive the double-typed JSON number space exactly; confidences are
+/// emitted as JSON doubles.
 ///
 //===----------------------------------------------------------------------===//
 

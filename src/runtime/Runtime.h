@@ -92,24 +92,13 @@ public:
 
   // --- Heap snapshots (the locality observatory) ---------------------------
 
-  /// True when per-cycle page snapshots are being captured (armed at
-  /// startup by GcConfig::SnapshotLogEnabled).
-  bool snapshotsEnabled() const {
-    return Heap.snapshotter().enabled();
-  }
-
   /// Copy of the retained snapshot ring, oldest capture first. Waits for
-  /// the driver to go idle so no capture races the copy.
+  /// the driver to go idle so no capture races the copy. It holds the
+  /// cycles gcStats() does: under LAZYRELOCATE the latest joins once its
+  /// deferred relocation drains.
   std::vector<CycleSnapshot> collectSnapshots() {
     Driver->waitIdle();
     return Heap.snapshotter().history();
-  }
-
-  /// Writes the retained snapshots as JSONL to \p Path (tools/heapscope
-  /// reads this format). \returns false if the file cannot be opened.
-  bool dumpSnapshots(const std::string &Path) {
-    Driver->waitIdle();
-    return Heap.snapshotter().dumpTo(Path);
   }
 
   /// Aggregated cache counters of all mutators (live + detached). Call

@@ -40,6 +40,19 @@ public:
     return static_cast<double>(elapsedNs()) * 1e-6;
   }
 
+  /// \returns elapsed milliseconds and restarts from the same clock
+  /// read, so consecutive laps add up to the whole span.
+  double lapMs() {
+    Clock::time_point Now = Clock::now();
+    double Ms = static_cast<double>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Now - Start)
+                        .count()) *
+                1e-6;
+    Start = Now;
+    return Ms;
+  }
+
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 using namespace hcsgc;
@@ -171,7 +172,22 @@ KvWorkloadResult hcsgc::runKvWorkload(Mutator &M,
   SP.Capacity = P.Records + P.ChurnKeys;
   SP.Shards = P.Shards;
   SP.ValueWords = P.ValueWords;
-  KvStore Store(M, SP);
+
+  // Load phase: base keys in key order. The scatter permutation makes
+  // rank order (access skew) unrelated to this allocation order. A heap
+  // too small for the index or the base records ends the run here,
+  // counted in HeapExhausted, before any mixed op runs.
+  KvWorkloadResult Res;
+  std::optional<KvStore> Store;
+  try {
+    Store.emplace(M, SP);
+    for (uint64_t K = 0; K < P.Records; ++K)
+      Store->put(M, K);
+  } catch (const HeapExhaustedError &) {
+    ++Res.HeapExhausted;
+    Res.LoadExhausted = true;
+    return Res;
+  }
 
   KvKeySpace::Params KP;
   KP.Keys = P.Records;
@@ -181,11 +197,6 @@ KvWorkloadResult hcsgc::runKvWorkload(Mutator &M,
   KP.HotOpFraction = P.HotOpFraction;
   KP.Seed = P.Seed;
   KvKeySpace Keys(KP);
-
-  // Load phase: base keys in key order. The scatter permutation makes
-  // rank order (access skew) unrelated to this allocation order.
-  for (uint64_t K = 0; K < P.Records; ++K)
-    Store.put(M, K);
 
   unsigned T = std::max(1u, P.Threads);
   std::vector<WorkerOut> Outs(T);
@@ -205,10 +216,10 @@ KvWorkloadResult hcsgc::runKvWorkload(Mutator &M,
     for (unsigned W = 1; W < T; ++W)
       Threads.emplace_back([&, W] {
         auto WM = RT.attachMutator();
-        kvWorker(*WM, Store, Keys, P, W, OpsOf(W), ChurnLoOf(W),
+        kvWorker(*WM, *Store, Keys, P, W, OpsOf(W), ChurnLoOf(W),
                  ChurnHiOf(W), Outs[W]);
       });
-    kvWorker(M, Store, Keys, P, 0, OpsOf(0), ChurnLoOf(0), ChurnHiOf(0),
+    kvWorker(M, *Store, Keys, P, 0, OpsOf(0), ChurnLoOf(0), ChurnHiOf(0),
              Outs[0]);
     // Joining must not stall a GC pause: wait as a blocked mutator.
     BlockedScope B(RT.safepoints());
@@ -217,7 +228,6 @@ KvWorkloadResult hcsgc::runKvWorkload(Mutator &M,
   }
   double MixSec = double(Mix.elapsedNs()) / 1e9;
 
-  KvWorkloadResult Res;
   Histogram AllLat;
   for (const WorkerOut &O : Outs) {
     Res.OpsDone += O.Ops;
@@ -241,7 +251,7 @@ KvWorkloadResult hcsgc::runKvWorkload(Mutator &M,
   // Quiescent validation sweep: every surviving record must still
   // self-validate, and its (key, version) multiset is the same on every
   // schedule and every GC configuration.
-  KvScanResult Scan = Store.scanAll(M);
+  KvScanResult Scan = Store->scanAll(M);
   Res.ConsistencyFailures += Scan.Corrupt;
   FailCtr.add(Scan.Corrupt);
   Res.LiveRecords = Scan.Live;

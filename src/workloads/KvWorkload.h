@@ -108,6 +108,9 @@ struct KvWorkloadResult {
   uint64_t ReadMisses = 0;  ///< Base-key misses; any nonzero is a bug.
   uint64_t ConsistencyFailures = 0; ///< Corrupt reads + scan corruption.
   uint64_t HeapExhausted = 0; ///< Ops abandoned to HeapExhaustedError.
+  /// The load phase ran out of heap: the store never held every base
+  /// record, so no mixed op ran and the other fields are zero.
+  bool LoadExhausted = false;
   uint64_t LiveRecords = 0;   ///< Final store size.
   double MixSeconds = 0;      ///< Wall time of the mixed phase.
   double ThroughputKops = 0;  ///< OpsDone / MixSeconds / 1e3.
@@ -116,7 +119,8 @@ struct KvWorkloadResult {
 
 /// Loads the base records, runs the mixed phase on \p P.Threads workers
 /// (the calling mutator is worker 0; the rest attach their own), then
-/// scans and validates the final store. Registers kv.* metrics in the
+/// scans and validates the final store. A heap exhausted during the load
+/// returns at once with LoadExhausted set instead of throwing. Registers kv.* metrics in the
 /// runtime's MetricsRegistry.
 KvWorkloadResult runKvWorkload(Mutator &M, const KvWorkloadParams &P);
 

@@ -15,9 +15,9 @@
 //    selection offline (replayEcSelection) from the recorded inputs
 //    reproduces the collector's accept set byte-for-byte, at
 //    COLDCONFIDENCE 0.0, 0.5 and 1.0;
-//  - every page recorded as selected appears as an ec_page_selected
-//    trace event of the same cycle (it actually entered a relocation set
-//    rather than being silently dropped);
+//  - each line's rows agree with its record header: as many selected
+//    rows as pages entered the relocation set, as many dead_reclaimed
+//    rows as pages EC released;
 //  - the census walk and the capture acquire zero allocator shard locks
 //    (the walk rides the lock-free active-page registries);
 //  - an unopenable snapshot log path stops the heap at construction.
@@ -28,8 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <vector>
 
 using namespace hcsgc;
@@ -44,8 +43,6 @@ GcConfig snapConfig(double ColdConf) {
   Cfg.Hotness = true;
   Cfg.ColdConfidence = ColdConf;
   Cfg.SnapshotLogEnabled = true;
-  Cfg.TraceEnabled = true;
-  Cfg.TraceBufferEvents = size_t(1) << 17;
   return Cfg;
 }
 
@@ -170,25 +167,28 @@ TEST(SnapshotInvariantTest, EcReplayIsByteExactAcrossConfidences) {
   }
 }
 
-TEST(SnapshotInvariantTest, AuditedSelectionsAppearInTrace) {
+TEST(SnapshotInvariantTest, AuditedSelectionsMatchTheRecord) {
   Runtime RT(snapConfig(0.5));
   runMixedWorkload(RT);
-  CollectedTrace T = RT.collectTrace();
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();
 
-  // (cycle, page begin) of every ec_page_selected trace event.
-  std::set<std::pair<uint64_t, uint64_t>> Traced;
-  for (const TraceEvent &E : T.Events)
-    if (E.Kind == TraceEventKind::EcPageSelected)
-      Traced.insert({E.Cycle, E.A});
-
-  // A cycle's Selected rows are exactly its ec_page_selected events.
-  std::set<std::pair<uint64_t, uint64_t>> Recorded;
-  for (const CycleSnapshot &S : Log)
-    for (uint64_t B : selectedPages(S))
-      Recorded.insert({S.Cycle, B});
-  EXPECT_FALSE(Recorded.empty());
-  EXPECT_EQ(Recorded, Traced);
+  // Each line's rows and its record header describe the same selection:
+  // the Selected rows are exactly the pages that entered the relocation
+  // set, and the dead_reclaimed rows the pages EC released.
+  size_t Selected = 0;
+  for (const CycleSnapshot &S : Log) {
+    SCOPED_TRACE("cycle " + std::to_string(S.Cycle));
+    EXPECT_EQ(S.Record.Cycle, S.Cycle);
+    size_t Dead = std::count_if(
+        S.Pages.begin(), S.Pages.end(), [](const PageRecord &P) {
+          return P.Verdict == EcVerdict::DeadReclaimed;
+        });
+    EXPECT_EQ(selectedPages(S).size(),
+              S.Record.SmallPagesInEc + S.Record.MediumPagesInEc);
+    EXPECT_EQ(Dead, S.Record.EmptyPagesReclaimed);
+    Selected += selectedPages(S).size();
+  }
+  EXPECT_GT(Selected, 0u);
 }
 
 TEST(SnapshotInvariantTest, CaptureAcquiresNoShardLocks) {
@@ -200,16 +200,21 @@ TEST(SnapshotInvariantTest, CaptureAcquiresNoShardLocks) {
   // below can only come from the census walk or the capture itself.
   uint64_t Before =
       RT.metrics().counterValue("alloc.shard.lock_acquisitions");
-  RT.heap().takeCensus(RT.heap().currentCycle());
+  CycleRecord Rec;
+  Rec.Cycle = RT.heap().currentCycle();
+  RT.heap().takeCensus(Rec);
   RT.heap().captureSnapshot();
   uint64_t After =
       RT.metrics().counterValue("alloc.shard.lock_acquisitions");
   EXPECT_EQ(Before, After)
       << "census or snapshot capture took an allocator shard lock";
 
-  // And the capture actually recorded pages.
+  // And the capture actually recorded pages: commit it with its cycle's
+  // record, as the driver does.
+  RT.heap().snapshotter().commit(Rec);
   std::vector<CycleSnapshot> Log = RT.collectSnapshots();
   ASSERT_FALSE(Log.empty());
+  EXPECT_EQ(Log.back().Cycle, Rec.Cycle);
   EXPECT_FALSE(Log.back().Pages.empty());
   EXPECT_GT(RT.metrics().counterValue("snapshot.captures"), 0u);
   EXPECT_GT(RT.metrics().counterValue("snapshot.pages_recorded"), 0u);
@@ -228,7 +233,9 @@ TEST(SnapshotInvariantTest, CensusSamplesSideTableBytesOncePerCycle) {
   // On the idle heap no page is released between the walk and the
   // reads below.
   uint64_t SumBefore = H->sum();
-  RT.heap().takeCensus(RT.heap().currentCycle());
+  CycleRecord Rec;
+  Rec.Cycle = RT.heap().currentCycle();
+  RT.heap().takeCensus(Rec);
   uint64_t Expected = 0;
   for (const CensusRow &Row : RT.heap().census().Rows) {
     // No temperature plane: livemap + hotmap, 2 bits per granule.

@@ -13,7 +13,7 @@
 //            any hot flag of that cycle;
 //  - §3.1.3  the WLB rule degenerates correctly at the COLDCONFIDENCE
 //            boundaries 0.0 (wlb == live) and 1.0 (wlb == hot, unless
-//            the page has no hot bytes);
+//            the page has no hot bytes), read from the snapshot rows;
 //  - §3.2    under LAZYRELOCATE, GC threads perform no relocation work
 //            between a cycle's end and the next cycle's begin (the
 //            mutator owns that window); the only in-cycle GC relocations
@@ -131,57 +131,76 @@ TEST(TraceInvariantTest, HotmapResetStartsEveryMarkPhase) {
   EXPECT_GT(HotFlags, 1000u) << "workload produced almost no hot flags";
 }
 
+namespace {
+
+/// True for a row EC weighed as a candidate small page (past the
+/// unjudged, pinned and dead filters): the rows its WLB rule judged.
+bool judgedSmall(const PageRecord &P) {
+  return P.SizeClass == SnapSizeClass::Small &&
+         (P.Verdict == EcVerdict::Selected ||
+          P.Verdict == EcVerdict::RejectedThreshold ||
+          P.Verdict == EcVerdict::RejectedBudget);
+}
+
+} // namespace
+
 // §3.1.3 boundary cases of wlb = hot + cold * (1 - confidence):
 // confidence 0.0 treats cold as live (wlb == live bytes, plain ZGC), and
 // confidence 1.0 discounts cold entirely (wlb == hot bytes) — except on
 // pages with no hot bytes at all, where there is nothing to excavate and
-// the rule falls back to live bytes.
+// the rule falls back to live bytes. The weights are read from the judged
+// small rows of each cycle's snapshot.
 TEST(TraceInvariantTest, WlbRespectsColdConfidenceBoundaries) {
   for (double Conf : {0.0, 1.0}) {
     SCOPED_TRACE("ColdConfidence=" + std::to_string(Conf));
     GcConfig Cfg = tracedConfig();
     Cfg.Hotness = true;
     Cfg.ColdConfidence = Conf;
+    Cfg.SnapshotLogEnabled = true;
     Runtime RT(Cfg);
     CollectedTrace T = runMixedHotnessWorkload(RT, 5000, 3);
 
-    size_t Considered = 0, Mixed = 0;
-    for (const TraceEvent &E : T.Events) {
+    for (const TraceEvent &E : T.Events)
       if (E.Kind == TraceEventKind::PhaseBegin &&
           static_cast<GcPhase>(E.A) == GcPhase::EcSelect) {
         // The selector must run with the configured knob values.
         EXPECT_DOUBLE_EQ(traceDoubleFromBits(E.B), Conf);
         EXPECT_EQ(E.C, 1u) << "hotness knob not observed by selector";
       }
-      if (E.Kind != TraceEventKind::EcPageConsidered)
-        continue;
-      ++Considered;
-      double Live = static_cast<double>(E.B);
-      double Hot = static_cast<double>(E.C);
-      double Wlb = traceDoubleFromBits(E.D);
-      ASSERT_LE(Hot, Live);
-      if (Hot > 0.0 && Hot < Live)
-        ++Mixed;
-      if (Conf == 0.0)
-        EXPECT_DOUBLE_EQ(Wlb, Live);
-      else
-        EXPECT_DOUBLE_EQ(Wlb, Hot > 0.0 ? Hot : Live);
-    }
+
+    size_t Considered = 0, Mixed = 0;
+    for (const CycleSnapshot &S : RT.collectSnapshots())
+      for (const PageRecord &P : S.Pages) {
+        if (!judgedSmall(P))
+          continue;
+        ++Considered;
+        double Live = static_cast<double>(P.LiveBytes);
+        double Hot = static_cast<double>(P.HotBytes);
+        ASSERT_LE(Hot, Live);
+        if (Hot > 0.0 && Hot < Live)
+          ++Mixed;
+        // The weight selection used is the row's WLB.
+        EXPECT_EQ(P.Weight, P.Wlb);
+        if (Conf == 0.0)
+          EXPECT_DOUBLE_EQ(P.Weight, Live);
+        else
+          EXPECT_DOUBLE_EQ(P.Weight, Hot > 0.0 ? Hot : Live);
+      }
     EXPECT_GT(Considered, 0u) << "EC selection considered no small page";
     EXPECT_GT(Mixed, 0u)
         << "no page with a hot/cold mix; boundary checks were vacuous";
   }
 }
 
-// The ec_page_selected event carries the weight selection used. Under
-// TEMPERATURE that is the tier-weighted WLB, so a selected small page's
-// weight must equal the one its ec_page_considered event carried in the
-// same cycle, never the 1-cycle hot/cold WLB.
+// A selected row's weight is the one selection used. Under TEMPERATURE
+// that is the tier-weighted WLB, so a selected small page's weight must
+// equal its row's tempered WLB, never the 1-cycle hot/cold WLB.
 TEST(TraceInvariantTest, SelectedWeightMatchesConsideredUnderTemperature) {
   GcConfig Cfg = tracedConfig();
   Cfg.Hotness = true;
   Cfg.Temperature = true;
   Cfg.ColdConfidence = 0.5;
+  Cfg.SnapshotLogEnabled = true;
   Runtime RT(Cfg);
 
   ClassId Cls = RT.registerClass("ti.T", 0, 24);
@@ -206,29 +225,23 @@ TEST(TraceInvariantTest, SelectedWeightMatchesConsideredUnderTemperature) {
     }
   }
   M.reset();
-  CollectedTrace T = RT.collectTrace();
-
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> ConsideredWlb;
-  for (const TraceEvent &E : T.Events)
-    if (E.Kind == TraceEventKind::EcPageConsidered)
-      ConsideredWlb[{E.Cycle, E.A}] = E.D;
 
   size_t Selected = 0, Tempered = 0;
-  for (const TraceEvent &E : T.Events) {
-    if (E.Kind != TraceEventKind::EcPageSelected)
-      continue;
-    auto It = ConsideredWlb.find({E.Cycle, E.A});
-    if (It == ConsideredWlb.end())
-      continue; // a medium page: no considered event
-    ++Selected;
-    EXPECT_EQ(E.D, It->second)
-        << "cycle " << E.Cycle << ": selected weight "
-        << traceDoubleFromBits(E.D) << " != considered "
-        << traceDoubleFromBits(It->second);
-    if (traceDoubleFromBits(It->second) !=
-        wlbFormula(E.B, E.C, true, Cfg.ColdConfidence))
-      ++Tempered;
-  }
+  for (const CycleSnapshot &S : RT.collectSnapshots())
+    for (const PageRecord &P : S.Pages) {
+      if (P.Verdict != EcVerdict::Selected ||
+          P.SizeClass != SnapSizeClass::Small)
+        continue;
+      ++Selected;
+      EXPECT_EQ(P.Weight, wlbTempFormula(P.LiveBytes, P.TempBytes, true,
+                                         S.ColdConfidence))
+          << "cycle " << S.Cycle << ": selected weight " << P.Weight
+          << " != tempered WLB";
+      EXPECT_EQ(P.Weight, P.Wlb);
+      if (P.Weight != wlbFormula(P.LiveBytes, P.HotBytes, true,
+                                 Cfg.ColdConfidence))
+        ++Tempered;
+    }
   EXPECT_GT(Selected, 0u) << "no small page was selected";
   EXPECT_GT(Tempered, 0u)
       << "tier weights never differed from the hot/cold WLB; vacuous";

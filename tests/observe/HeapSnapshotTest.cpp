@@ -9,7 +9,8 @@
 // WLB formula's boundary behavior, the offline EC replay (filter, sort,
 // budget/required-free prefix, RELOCATEALLSMALLPAGES, pinned/dead/unjudged
 // skips), ring-capacity drop accounting, the JSONL round trip (including
-// bit-exact doubles via %.17g) and the strict reader's rejections.
+// bit-exact doubles via %.17g and the cycle record) and the strict
+// reader's rejections.
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,6 +200,30 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   S.BudgetMedium = 0.125;
   S.RequiredFree = 4096.0;
   S.Hotness = 1;
+  // The record rides the line with every field set, its times to values
+  // that need all 17 digits.
+  CycleRecord &Rec = S.Record;
+  Rec.Cycle = S.Cycle;
+  Rec.SmallPagesInEc = 3;
+  Rec.MediumPagesInEc = 1;
+  Rec.EmptyPagesReclaimed = 2;
+  Rec.LiveBytesMarked = 50000;
+  Rec.HotBytesMarked = 12345;
+  Rec.ObjectsRelocatedByMutators = 7;
+  Rec.ObjectsRelocatedByGc = 11;
+  Rec.BytesRelocatedByMutators = 700;
+  Rec.BytesRelocatedByGc = 1100;
+  Rec.BytesRelocated = 1800;
+  Rec.UsedAfterBytes = 1u << 20;
+  Rec.ColdRelocatedBytes = 96;
+  Rec.TempHotBytes = 3;
+  Rec.TempWarmBytes = 2;
+  Rec.TempColdBytes = 1;
+  double T = 0.1;
+  for (const CyclePhase &Ph : CyclePhases)
+    Rec.*Ph.Ms = (T += 1.0 / 7.0);
+  Rec.Stw2Ms = 1.0 / 9.0;
+  Rec.WallMs = 12.0 / 7.0;
 
   PageRecord P;
   P.PageBegin = 0xdeadbeef0000ull;
@@ -231,6 +256,8 @@ TEST(SnapshotLogTest, JsonlRoundTripIsExact) {
   EXPECT_EQ(R.RequiredFree, S.RequiredFree);
   EXPECT_EQ(R.Hotness, S.Hotness);
   EXPECT_EQ(R.RelocateAll, S.RelocateAll);
+  // Field for field, doubles bit-exact; the cycle comes from the line.
+  EXPECT_TRUE(R.Record == S.Record);
   ASSERT_EQ(R.Pages.size(), 1u);
   const PageRecord &Q = R.Pages[0];
   EXPECT_EQ(Q.PageBegin, P.PageBegin);
@@ -261,6 +288,9 @@ TEST(SnapshotLogTest, WideIntegerFieldsRoundTrip) {
   CycleSnapshot S;
   S.Cycle = Big;
   S.TimeNs = Big;
+  S.Record.Cycle = Big;
+  for (const CycleCount &C : CycleCounts)
+    S.Record.*C.Member = Big;
 
   PageRecord P;
   P.PageBegin = 0x7f0000000000ull;
@@ -285,6 +315,7 @@ TEST(SnapshotLogTest, WideIntegerFieldsRoundTrip) {
   ASSERT_TRUE(parseSnapshotLine(snapshotToJson(S), R, Error)) << Error;
   EXPECT_EQ(R.Cycle, Big);
   EXPECT_EQ(R.TimeNs, Big);
+  EXPECT_TRUE(R.Record == S.Record);
   ASSERT_EQ(R.Pages.size(), 1u);
   const PageRecord &Q = R.Pages[0];
   EXPECT_EQ(Q.PageBegin, P.PageBegin);
@@ -474,6 +505,19 @@ std::string validLine() {
   return snapshotToJson(S);
 }
 
+/// The record's times as the line names them: each CyclePhases entry as
+/// <name>_ms, then stw2_ms and wall_ms. Its counters are the CycleCounts
+/// keys. The record heads the line, so each name's first match is the
+/// record's.
+std::vector<std::string> recordTimeKeys() {
+  std::vector<std::string> Keys;
+  for (const CyclePhase &Ph : CyclePhases)
+    Keys.push_back(std::string(Ph.Name) + "_ms");
+  Keys.push_back("stw2_ms");
+  Keys.push_back("wall_ms"); // Last: no comma follows it.
+  return Keys;
+}
+
 /// \returns validLine() with the first \p From replaced by \p To.
 std::string edited(const std::string &From, const std::string &To) {
   std::string Line = validLine();
@@ -504,6 +548,15 @@ TEST(SnapshotLogTest, RejectsMissingField) {
                  "missing budget_small");
   expectRejected(edited(",\"sites\":[", ",\"other\":["), "missing sites");
   expectRejected(edited("\"alloc\":0,", ""), "site 0: missing alloc");
+  // The record, whole and member by member.
+  expectRejected(edited("\"record\":", "\"other\":"), "missing record");
+  for (const CycleCount &C : CycleCounts)
+    expectRejected(edited("\"" + std::string(C.Key) + "\":0,", ""),
+                   "record: missing " + std::string(C.Key));
+  for (const std::string &Key : recordTimeKeys())
+    expectRejected(Key == "wall_ms" ? edited(",\"wall_ms\":0", "")
+                                    : edited("\"" + Key + "\":0,", ""),
+                   "record: missing " + Key);
 }
 
 TEST(SnapshotLogTest, RejectsMalformedHexBegin) {
@@ -523,6 +576,19 @@ TEST(SnapshotLogTest, RejectsNegativeOrFractionalByteCount) {
                  "page 0: bad used: not a non-negative integer");
   expectRejected(edited("\"size\":65536", "\"size\":\"65536\""),
                  "page 0: bad size");
+  // The record: its counters, its times, and the object itself.
+  for (const CycleCount &C : CycleCounts) {
+    std::string K = "\"" + std::string(C.Key) + "\":";
+    std::string Want =
+        "record: bad " + std::string(C.Key) + ": not a non-negative integer";
+    expectRejected(edited(K + "0", K + "-1"), Want);
+    expectRejected(edited(K + "0", K + "0.5"), Want);
+  }
+  for (const std::string &Key : recordTimeKeys())
+    expectRejected(edited("\"" + Key + "\":0", "\"" + Key + "\":\"0\""),
+                   "record: bad " + Key + ": not a number");
+  expectRejected(edited("\"record\":{", "\"record\":7,\"x\":{"),
+                 "bad record: not an object");
 }
 
 TEST(SnapshotLogTest, RejectsUnknownRoute) {

@@ -69,17 +69,6 @@ CollectedTrace makeFullTrace() {
                            uint64_t(GcPhase::EcSelect),
                            traceBitsFromDouble(1.0 / 3.0), /*hotness=*/1,
                            0, 1, 0));
-  T.Events.push_back(event(TraceEventKind::EcPageConsidered, Next(), 7,
-                           /*page=*/0x200000ull, /*live=*/65536,
-                           /*hot=*/4096,
-                           traceBitsFromDouble(65536.0 - 4096.0 * 0.25),
-                           1, 0));
-  T.Events.push_back(event(TraceEventKind::EcPageSelected, Next(), 7,
-                           0x200000ull, 65536, 4096,
-                           traceBitsFromDouble(0.0), 1, 0));
-  T.Events.push_back(event(TraceEventKind::EcPageReclaimed, Next(), 7,
-                           /*page=*/0x240000ull,
-                           /*page_bytes=*/256 * 1024, 0, 0, 1, 0));
   T.Events.push_back(event(TraceEventKind::PhaseEnd, Next(), 7,
                            uint64_t(GcPhase::EcSelect), 0, 0, 0, 1, 0));
   T.Events.push_back(event(TraceEventKind::PauseBegin, Next(), 7,
@@ -132,13 +121,17 @@ TEST(TraceJsonTest, RoundTripsEveryEventKindFieldExact) {
     EXPECT_EQ(B.D, A.D) << "doubles must round-trip bit-exact (%.17g)";
   }
 
-  // Thread table rebuilt from metadata + events, GC attribution intact.
+  // Thread table rebuilt from metadata + events, GC attribution and
+  // each thread's own ring drops intact.
   ASSERT_EQ(Back.Threads.size(), 2u); // tid 0 (gc), tid 2 (mutator)
   for (const TraceThreadInfo &Info : Back.Threads) {
-    if (Info.Tid == 0)
+    if (Info.Tid == 0) {
       EXPECT_TRUE(Info.GcThread);
-    else
+      EXPECT_EQ(Info.Dropped, 0u);
+    } else {
       EXPECT_FALSE(Info.GcThread);
+      EXPECT_EQ(Info.Dropped, 42u);
+    }
   }
 }
 
@@ -164,6 +157,7 @@ TEST(TraceJsonTest, DocumentMatchesTraceEventSchema) {
       ++Meta;
       EXPECT_EQ(EV["name"].stringOr(""), "thread_name");
       EXPECT_FALSE(EV["args"]["name"].stringOr("").empty());
+      EXPECT_TRUE(EV["args"]["dropped"].isNumber());
       continue;
     }
     // Every real event: required trace_event fields plus our args.
@@ -182,9 +176,6 @@ TEST(TraceJsonTest, DocumentMatchesTraceEventSchema) {
       EXPECT_EQ(EV["s"].stringOr(""), "t");
       // Addresses must be strings: 64-bit ints overflow JSON doubles.
       std::string Name = EV["name"].stringOr("");
-      if (Name == "ec_page_considered" || Name == "ec_page_reclaimed") {
-        EXPECT_TRUE(EV["args"]["page"].isString());
-      }
       if (Name == "hot_flag") {
         EXPECT_TRUE(EV["args"]["addr"].isString());
       }

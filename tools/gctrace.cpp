@@ -4,13 +4,15 @@
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
 //
 // Loads a Chrome trace_event JSON file produced by Runtime::dumpTrace (or
-// the trace exporter directly) and prints a per-cycle summary: pause
-// durations, EC selection decisions, hotness flags and relocation
-// attribution. The same file loads in chrome://tracing or Perfetto for a
-// visual timeline; this tool answers the quantitative questions.
+// the trace exporter directly) and prints a per-cycle summary: pause and
+// phase durations, hotness flags and relocation attribution. The same
+// file loads in chrome://tracing or Perfetto for a visual timeline; this
+// tool answers the quantitative questions. EC's per-page decisions are in
+// the snapshot log (heapscope --audit), not the trace.
 //
 //   $ gctrace trace.json              # per-cycle summary
-//   $ gctrace trace.json --threads    # add the per-thread table
+//   $ gctrace trace.json --threads    # add the per-thread table (events,
+//                                     # ring drops)
 //   $ gctrace trace.json --events=20  # also dump the first 20 raw events
 //   $ gctrace trace.json --cycles=3..7  # restrict to cycles 3-7 inclusive
 //
@@ -26,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -36,30 +39,12 @@ namespace {
 
 /// Everything the summary reports about one GC cycle.
 struct CycleSummary {
-  double PauseUs[3] = {0, 0, 0}; ///< STW1 / STW2 / STW3.
-  double MarkUs = 0;
-  double RelocUs = 0;
-  uint64_t EcConsidered = 0;
-  uint64_t EcSelected = 0;
-  uint64_t EcReclaimed = 0;
+  double PhaseUs[6] = {}; ///< Indexed by GcPhase, pauses included.
   uint64_t HotFlags = 0;
   uint64_t HotFlagBytes = 0;
   uint64_t RelocMut = 0, RelocGc = 0;
   uint64_t RelocMutBytes = 0, RelocGcBytes = 0;
 };
-
-int pauseIndex(GcPhase P) {
-  switch (P) {
-  case GcPhase::Stw1:
-    return 0;
-  case GcPhase::Stw2:
-    return 1;
-  case GcPhase::Stw3:
-    return 2;
-  default:
-    return -1;
-  }
-}
 
 void printEvent(const TraceEvent &E) {
   std::printf("  %12.3fus tid=%-3u cycle=%-4" PRIu64 " %-18s",
@@ -72,15 +57,6 @@ void printEvent(const TraceEvent &E) {
   case TraceEventKind::PauseBegin:
   case TraceEventKind::PauseEnd:
     std::printf(" %s", gcPhaseName(static_cast<GcPhase>(E.A)));
-    break;
-  case TraceEventKind::EcPageConsidered:
-  case TraceEventKind::EcPageSelected:
-    std::printf(" page=0x%" PRIx64 " live=%" PRIu64 " hot=%" PRIu64
-                " wlb=%.1f",
-                E.A, E.B, E.C, traceDoubleFromBits(E.D));
-    break;
-  case TraceEventKind::EcPageReclaimed:
-    std::printf(" page=0x%" PRIx64 " bytes=%" PRIu64, E.A, E.B);
     break;
   case TraceEventKind::HotFlag:
     std::printf(" addr=0x%" PRIx64 " bytes=%" PRIu64, E.A, E.B);
@@ -171,9 +147,11 @@ int main(int Argc, char **Argv) {
   if (ShowThreads) {
     std::printf("\n-- threads --\n");
     for (const TraceThreadInfo &Info : T.Threads)
-      std::printf("  tid=%-3u %-8s %8" PRIu64 " events\n",
+      std::printf("  tid=%-3u %-8s %8" PRIu64 " events %8" PRIu64
+                  " dropped\n",
                   static_cast<unsigned>(Info.Tid),
-                  Info.GcThread ? "gc" : "mutator", Info.Events);
+                  Info.GcThread ? "gc" : "mutator", Info.Events,
+                  Info.Dropped);
   }
 
   // Fold the stream into per-cycle summaries. Begin/End pairs are matched
@@ -196,24 +174,10 @@ int main(int Argc, char **Argv) {
       double Us =
           static_cast<double>(E.TimeNs - It->second) / 1000.0;
       OpenBegin.erase(It);
-      GcPhase P = static_cast<GcPhase>(E.A);
-      if (int Idx = pauseIndex(P); Idx >= 0)
-        C.PauseUs[Idx] += Us;
-      else if (P == GcPhase::Mark)
-        C.MarkUs += Us;
-      else if (P == GcPhase::Relocate)
-        C.RelocUs += Us;
+      if (E.A < std::size(C.PhaseUs))
+        C.PhaseUs[E.A] += Us;
       break;
     }
-    case TraceEventKind::EcPageConsidered:
-      ++C.EcConsidered;
-      break;
-    case TraceEventKind::EcPageSelected:
-      ++C.EcSelected;
-      break;
-    case TraceEventKind::EcPageReclaimed:
-      ++C.EcReclaimed;
-      break;
     case TraceEventKind::HotFlag:
       ++C.HotFlags;
       C.HotFlagBytes += E.B;
@@ -236,22 +200,21 @@ int main(int Argc, char **Argv) {
   // artificial empty entry if nothing landed there.
   if (!Cycles.empty() && Cycles.begin()->first == 0) {
     const CycleSummary &C0 = Cycles.begin()->second;
-    if (C0.RelocMut + C0.RelocGc + C0.HotFlags + C0.EcConsidered == 0)
+    if (C0.RelocMut + C0.RelocGc + C0.HotFlags == 0)
       Cycles.erase(Cycles.begin());
   }
 
   std::printf("\n-- per-cycle --\n");
-  std::printf("%5s %9s %9s %9s %9s %9s | %5s %5s %5s | %8s | %9s %9s\n",
-              "cycle", "stw1(us)", "stw2(us)", "stw3(us)", "mark(us)",
-              "reloc(us)", "cons", "sel", "recl", "hotflag", "mutKB",
-              "gcKB");
+  std::printf("%5s %9s %9s %9s %9s %9s | %8s | %9s %9s\n", "cycle",
+              "stw1(us)", "stw2(us)", "stw3(us)", "mark(us)", "reloc(us)",
+              "hotflag", "mutKB", "gcKB");
   for (const auto &[Cycle, C] : Cycles)
-    std::printf("%5" PRIu64
-                " %9.1f %9.1f %9.1f %9.1f %9.1f | %5" PRIu64 " %5" PRIu64
-                " %5" PRIu64 " | %8" PRIu64 " | %9.1f %9.1f\n",
-                Cycle, C.PauseUs[0], C.PauseUs[1], C.PauseUs[2], C.MarkUs,
-                C.RelocUs, C.EcConsidered, C.EcSelected, C.EcReclaimed,
-                C.HotFlags,
+    std::printf("%5" PRIu64 " %9.1f %9.1f %9.1f %9.1f %9.1f | %8" PRIu64
+                " | %9.1f %9.1f\n",
+                Cycle, C.PhaseUs[int(GcPhase::Stw1)],
+                C.PhaseUs[int(GcPhase::Stw2)], C.PhaseUs[int(GcPhase::Stw3)],
+                C.PhaseUs[int(GcPhase::Mark)],
+                C.PhaseUs[int(GcPhase::Relocate)], C.HotFlags,
                 static_cast<double>(C.RelocMutBytes) / 1024.0,
                 static_cast<double>(C.RelocGcBytes) / 1024.0);
 

@@ -3,11 +3,13 @@
 // Part of the HCSGC reproduction of "Improving Program Locality in the GC
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
 //
-// Reads a JSONL heap-snapshot log (GcConfig::SnapshotLogPath, the
-// harness's --snapshot-log flag, or Runtime::dumpSnapshots), one line per
-// GC cycle, and renders the locality observatory offline:
+// Reads a JSONL heap-snapshot log (GcConfig::SnapshotLogPath or the
+// harness's --snapshot-log flag), one line per GC cycle, and renders the
+// locality observatory offline:
 //
-//   $ heapscope snap.jsonl                    # per-cycle summary table
+//   $ heapscope snap.jsonl                    # per-cycle summary table:
+//                                             # census, phase times (ms),
+//                                             # relocation by actor
 //   $ heapscope snap.jsonl --map              # ASCII heat strip per cycle
 //   $ heapscope snap.jsonl --map=7            #   ... cycle 7 only
 //   $ heapscope snap.jsonl --trends           # locality trend lines
@@ -42,7 +44,9 @@ using namespace hcsgc;
 
 namespace {
 
-bool loadLog(const char *Path, std::vector<CycleSnapshot> &Out) {
+/// Loads \p Path and keeps the cycles in [\p Lo, \p Hi].
+bool loadLog(const char *Path, uint64_t Lo, uint64_t Hi,
+             std::vector<CycleSnapshot> &Out) {
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
     std::fprintf(stderr, "heapscope: cannot open %s\n", Path);
@@ -55,6 +59,11 @@ bool loadLog(const char *Path, std::vector<CycleSnapshot> &Out) {
     std::fprintf(stderr, "heapscope: %s: %s\n", Path, Error.c_str());
     return false;
   }
+  Out.erase(std::remove_if(Out.begin(), Out.end(),
+                           [&](const CycleSnapshot &S) {
+                             return S.Cycle < Lo || S.Cycle > Hi;
+                           }),
+            Out.end());
   return true;
 }
 
@@ -68,25 +77,12 @@ bool selected(const PageRecord &P) {
   return P.Verdict == EcVerdict::Selected;
 }
 
-uint64_t sumLive(const CycleSnapshot &S) {
+/// \returns \p Field summed over the cycle's pages, in KB.
+double sumKB(const CycleSnapshot &S, uint64_t PageRecord::*Field) {
   uint64_t N = 0;
   for (const PageRecord &P : S.Pages)
-    N += P.LiveBytes;
-  return N;
-}
-
-uint64_t sumHot(const CycleSnapshot &S) {
-  uint64_t N = 0;
-  for (const PageRecord &P : S.Pages)
-    N += P.HotBytes;
-  return N;
-}
-
-uint64_t sumUsed(const CycleSnapshot &S) {
-  uint64_t N = 0;
-  for (const PageRecord &P : S.Pages)
-    N += P.UsedBytes;
-  return N;
+    N += P.*Field;
+  return static_cast<double>(N) / 1024.0;
 }
 
 size_t countIf(const CycleSnapshot &S, bool (*Pred)(const PageRecord &)) {
@@ -96,17 +92,30 @@ size_t countIf(const CycleSnapshot &S, bool (*Pred)(const PageRecord &)) {
 
 void printSummary(const std::vector<CycleSnapshot> &Log) {
   // The census as marking left it: dead pages count toward pages and
-  // used bytes; "ec" and "dead" are EC's verdicts on them.
-  std::printf("%5s %6s %10s %10s %10s %5s %5s %8s\n", "cycle", "pages",
-              "used(KB)", "live(KB)", "hot(KB)", "ec", "dead", "cc");
-  for (const CycleSnapshot &S : Log)
-    std::printf("%5" PRIu64 " %6zu %10.1f %10.1f %10.1f %5zu %5zu %8.3f\n",
-                S.Cycle, S.Pages.size(),
-                static_cast<double>(sumUsed(S)) / 1024.0,
-                static_cast<double>(sumLive(S)) / 1024.0,
-                static_cast<double>(sumHot(S)) / 1024.0,
-                countIf(S, selected), countIf(S, reclaimed),
-                S.ColdConfidence);
+  // used bytes; "ec" and "dead" are EC's verdicts on them. Then the
+  // cycle's record: its wall time and the phase times (ms) that
+  // partition it, and its relocated bytes split by actor.
+  std::printf("%5s %6s %10s %10s %10s %5s %5s %8s %9s", "cycle", "pages",
+              "used(KB)", "live(KB)", "hot(KB)", "ec", "dead", "cc",
+              "wall(ms)");
+  for (const CyclePhase &Ph : CyclePhases)
+    std::printf(" %9s", Ph.Name);
+  std::printf(" %9s %9s\n", "mutKB", "gcKB");
+  for (const CycleSnapshot &S : Log) {
+    const CycleRecord &R = S.Record;
+    std::printf("%5" PRIu64 " %6zu %10.1f %10.1f %10.1f %5zu %5zu %8.3f "
+                "%9.3f",
+                S.Cycle, S.Pages.size(), sumKB(S, &PageRecord::UsedBytes),
+                sumKB(S, &PageRecord::LiveBytes),
+                sumKB(S, &PageRecord::HotBytes), countIf(S, selected),
+                countIf(S, reclaimed),
+                S.ColdConfidence, R.WallMs);
+    for (const CyclePhase &Ph : CyclePhases)
+      std::printf(" %9.3f", R.*Ph.Ms);
+    std::printf(" %9.1f %9.1f\n",
+                static_cast<double>(R.BytesRelocatedByMutators) / 1024.0,
+                static_cast<double>(R.BytesRelocatedByGc) / 1024.0);
+  }
 }
 
 /// One shade character per page, by hot fraction of live bytes.
@@ -335,11 +344,11 @@ void printDiff(const std::vector<CycleSnapshot> &A,
     const CycleSnapshot *SB = It->second;
     std::printf("%5" PRIu64 " %10.1f %10.1f | %10.1f %10.1f | %7zu "
                 "%7zu\n",
-                Cycle, static_cast<double>(sumLive(*SA)) / 1024.0,
-                static_cast<double>(sumLive(*SB)) / 1024.0,
-                static_cast<double>(sumHot(*SA)) / 1024.0,
-                static_cast<double>(sumHot(*SB)) / 1024.0,
-                countIf(*SA, selected), countIf(*SB, selected));
+                Cycle, sumKB(*SA, &PageRecord::LiveBytes),
+                sumKB(*SB, &PageRecord::LiveBytes),
+                sumKB(*SA, &PageRecord::HotBytes),
+                sumKB(*SB, &PageRecord::HotBytes), countIf(*SA, selected),
+                countIf(*SB, selected));
   }
   for (const auto &[Cycle, SB] : MB)
     if (!MA.count(Cycle))
@@ -409,15 +418,8 @@ int main(int Argc, char **Argv) {
     Summary = true;
 
   std::vector<CycleSnapshot> Log;
-  if (!loadLog(Path, Log))
+  if (!loadLog(Path, CycleLo, CycleHi, Log))
     return 1;
-  if (CycleLo != 0 || CycleHi != UINT64_MAX)
-    Log.erase(std::remove_if(Log.begin(), Log.end(),
-                             [&](const CycleSnapshot &S) {
-                               return S.Cycle < CycleLo ||
-                                      S.Cycle > CycleHi;
-                             }),
-              Log.end());
   std::printf("%s: %zu cycles\n", Path, Log.size());
 
   if (Summary)
@@ -436,15 +438,8 @@ int main(int Argc, char **Argv) {
         printAudit(S);
   if (DiffPath) {
     std::vector<CycleSnapshot> Other;
-    if (!loadLog(DiffPath, Other))
+    if (!loadLog(DiffPath, CycleLo, CycleHi, Other))
       return 1;
-    if (CycleLo != 0 || CycleHi != UINT64_MAX)
-      Other.erase(std::remove_if(Other.begin(), Other.end(),
-                                 [&](const CycleSnapshot &S) {
-                                   return S.Cycle < CycleLo ||
-                                          S.Cycle > CycleHi;
-                                 }),
-                  Other.end());
     printDiff(Log, Other);
   }
   if (Replay)
