@@ -309,4 +309,15 @@ static void BM_ProbeBatchReplayExactness(benchmark::State &State) {
 }
 BENCHMARK(BM_ProbeBatchReplayExactness);
 
-BENCHMARK_MAIN();
+int main(int Argc, char **Argv) {
+  // The set kernel every 8- and 16-way level of a hierarchy runs here, so
+  // that a report says which one its timings measured.
+  benchmark::AddCustomContext("simcache_kernel",
+                              SetAssocCache(1, 8).kernelName());
+  benchmark::Initialize(&Argc, Argv);
+  if (benchmark::ReportUnrecognizedArguments(Argc, Argv))
+    return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -40,9 +40,9 @@ void CacheHierarchy::flush() {
 }
 
 void CacheHierarchy::prefetchFill(uint64_t Line) {
-  // Prefetches fill L1 and L2 "for free": the model assumes enough memory
-  // parallelism to overlap prefetch latency with execution, which is what
-  // makes access-order layouts a win in the paper.
+  // Prefetches fill all three levels "for free": the model assumes enough
+  // memory parallelism to overlap prefetch latency with execution, which
+  // is what makes access-order layouts a win in the paper.
   L1.fill(Line);
   L2.fill(Line);
   L3.fill(Line);

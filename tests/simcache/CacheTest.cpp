@@ -7,7 +7,14 @@
 
 #include "simcache/Cache.h"
 
+#include "support/Random.h"
+
+#include "TestSeeds.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 using namespace hcsgc;
 
@@ -131,3 +138,150 @@ TEST(CacheTest, MruHitLeavesSetUnchanged) {
   EXPECT_TRUE(D.access(19));
   EXPECT_FALSE(D.access(3));
 }
+
+TEST(CacheTest, SetsStartOnHostLines) {
+  // Every 8-way set is one 64-byte host line and every 16-way set two,
+  // which the vector kernels' aligned loads and stores rely on.
+  for (uint32_t Ways : {8u, 16u}) {
+    for (uint32_t Sets : {1u, 2u, 64u, 4096u}) {
+      SetAssocCache C(Sets, Ways);
+      for (uint64_t Line = 0; Line < Sets; ++Line)
+        ASSERT_EQ(reinterpret_cast<uintptr_t>(C.setFor(Line)) %
+                      SetAssocCache::SetAlign,
+                  0u)
+            << Ways << "-way, " << Sets << " sets, set " << Line;
+    }
+  }
+}
+
+TEST(CacheTest, KernelChosenByCpuAndWays) {
+  const char *Vector = setkernel::vectorAvailable() ? "avx512" : "scalar";
+  EXPECT_STREQ(SetAssocCache(64, 8).kernelName(), Vector);
+  EXPECT_STREQ(SetAssocCache(64, 16).kernelName(), Vector);
+  EXPECT_STREQ(SetAssocCache(64, 4).kernelName(), "scalar");
+  EXPECT_STREQ(SetAssocCache(64, 1).kernelName(), "scalar");
+}
+
+namespace {
+
+/// The AVX-512F kernels against the scalar ones: both get a copy of the
+/// same seeded set and the same line, and must return the same result
+/// and leave the same set. The parameter is the associativity, 8 or 16.
+class SetKernelTest : public ::testing::TestWithParam<uint32_t> {
+protected:
+  void SetUp() override {
+    if (!setkernel::vectorAvailable())
+      GTEST_SKIP() << "this CPU lacks AVX-512F; only the scalar kernels run";
+    Ways = GetParam();
+    Access = Ways == 8 ? setkernel::access8 : setkernel::access16;
+    Contains = Ways == 8 ? setkernel::contains8 : setkernel::contains16;
+  }
+
+  /// Fills both sets with \p Used distinct lines drawn from
+  /// [0, 4 * Ways), then EmptyLine up to the last way.
+  void seedSet(SplitMix64 &Rng, uint32_t Used) {
+    uint32_t N = 0;
+    while (N < Used) {
+      uint64_t L = Rng.nextBelow(4 * Ways);
+      if (std::find(Vec, Vec + N, L) == Vec + N)
+        Vec[N++] = L;
+    }
+    std::fill(Vec + Used, Vec + Ways, SetAssocCache::EmptyLine);
+    std::copy(Vec, Vec + Ways, Ref);
+  }
+
+  /// Applies one access of \p Line through both kernels and compares.
+  void expectSameAccess(uint64_t Line, const std::string &What) {
+    bool VecHit = Access(Vec, Ways, Line);
+    bool RefHit = setkernel::accessScalar(Ref, Ways, Line);
+    ASSERT_EQ(VecHit, RefHit) << What << ", line " << Line;
+    for (uint32_t W = 0; W < Ways; ++W)
+      ASSERT_EQ(Vec[W], Ref[W]) << What << ", line " << Line << ", way " << W;
+  }
+
+  uint32_t Ways = 0;
+  setkernel::AccessFn Access = nullptr;
+  setkernel::ContainsFn Contains = nullptr;
+  alignas(SetAssocCache::SetAlign) uint64_t Vec[16];
+  alignas(SetAssocCache::SetAlign) uint64_t Ref[16];
+};
+
+TEST_P(SetKernelTest, HitAtEveryWay) {
+  SplitMix64 Rng(test::testSeed(100 + GetParam()));
+  for (int Round = 0; Round < 50; ++Round) {
+    for (uint32_t W = 0; W < Ways; ++W) {
+      seedSet(Rng, Ways);
+      uint64_t Line = Vec[W];
+      expectSameAccess(Line, "hit at way " + std::to_string(W));
+      if (HasFatalFailure())
+        return;
+      EXPECT_EQ(Vec[0], Line);
+    }
+  }
+}
+
+TEST_P(SetKernelTest, MissOnFullSetDropsLruWay) {
+  SplitMix64 Rng(test::testSeed(110 + GetParam()));
+  for (int Round = 0; Round < 200; ++Round) {
+    seedSet(Rng, Ways);
+    uint64_t Lru = Vec[Ways - 1];
+    expectSameAccess(4 * Ways + Rng.nextBelow(100), "miss on a full set");
+    if (HasFatalFailure())
+      return;
+    EXPECT_EQ(std::find(Vec, Vec + Ways, Lru), Vec + Ways);
+  }
+}
+
+TEST_P(SetKernelTest, MissAndHitWithEmptyTail) {
+  SplitMix64 Rng(test::testSeed(120 + GetParam()));
+  for (uint32_t Used = 0; Used < Ways; ++Used) {
+    for (int Round = 0; Round < 20; ++Round) {
+      seedSet(Rng, Used);
+      expectSameAccess(4 * Ways + Rng.nextBelow(100),
+                       "miss with " + std::to_string(Used) + " ways used");
+      if (HasFatalFailure())
+        return;
+      // Nothing was evicted: the empty tail gave up one way.
+      EXPECT_EQ(std::count(Vec, Vec + Ways, SetAssocCache::EmptyLine),
+                Ways - Used - 1);
+      if (Used > 0) {
+        seedSet(Rng, Used);
+        expectSameAccess(Vec[Rng.nextBelow(Used)],
+                         "hit with " + std::to_string(Used) + " ways used");
+        if (HasFatalFailure())
+          return;
+      }
+    }
+  }
+}
+
+TEST_P(SetKernelTest, ContainsAgrees) {
+  SplitMix64 Rng(test::testSeed(130 + GetParam()));
+  for (uint32_t Used = 0; Used <= Ways; ++Used) {
+    seedSet(Rng, Used);
+    for (uint64_t L = 0; L < 5 * Ways; ++L)
+      EXPECT_EQ(Contains(Vec, Ways, L), setkernel::containsScalar(Ref, Ways, L))
+          << "line " << L << ", " << Used << " ways used";
+    EXPECT_EQ(Contains(Vec, Ways, SetAssocCache::EmptyLine),
+              setkernel::containsScalar(Ref, Ways, SetAssocCache::EmptyLine));
+  }
+}
+
+TEST_P(SetKernelTest, RandomSequenceFromEmpty) {
+  // From an empty set, a long run of lines drawn from twice the
+  // associativity: hits land at every way and misses evict.
+  SplitMix64 Rng(test::testSeed(140 + GetParam()));
+  seedSet(Rng, 0);
+  for (int I = 0; I < 20000; ++I) {
+    expectSameAccess(Rng.nextBelow(2 * Ways), "step " + std::to_string(I));
+    if (HasFatalFailure())
+      return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, SetKernelTest, ::testing::Values(8u, 16u),
+                         [](const ::testing::TestParamInfo<uint32_t> &Info) {
+                           return "Ways" + std::to_string(Info.param);
+                         });
+
+} // namespace

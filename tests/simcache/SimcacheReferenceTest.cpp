@@ -332,7 +332,8 @@ enum class StreamKind {
   StoreHeavy,
   Mixed,
   BucketAliased,
-  RepeatHeavy
+  RepeatHeavy,
+  L3Resident
 };
 
 /// Seeded access-stream generator. Addresses sit in a 64 MiB window well
@@ -382,6 +383,15 @@ public:
     }
     case StreamKind::RepeatHeavy:
       return repeatHeavy();
+    case StreamKind::L3Resident: {
+      // 14 lines 4096 lines apart in each of 512 columns: 448 KiB, more
+      // than L2 and less than L3 on the default and GraphCc geometries.
+      // Every column is one L3 set there (4096 and 512 sets), holding 14
+      // of its 16 ways, but overflows its L2 and L1 sets, so random
+      // picks hit L3 at ways in both 8-way halves of the set.
+      uint64_t Line = Rng.nextBelow(512) + 4096 * Rng.nextBelow(14);
+      return event(Line * 64 + Rng.nextBelow(56), 8, Rng.nextBelow(4) == 0);
+    }
     }
     return load(0, 8);
   }
@@ -523,7 +533,8 @@ std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
   static const char *Kinds[] = {"Random",       "Sequential", "Backward",
                                 "Jittered",     "LineCrossing",
                                 "StoreHeavy",   "Mixed",
-                                "BucketAliased", "RepeatHeavy"};
+                                "BucketAliased", "RepeatHeavy",
+                                "L3Resident"};
   static const char *Geos[] = {"Default", "GraphCc", "PrefetchOff"};
   return std::string(Kinds[static_cast<int>(std::get<0>(Info.param))]) +
          "_" + Geos[static_cast<int>(std::get<1>(Info.param))];
@@ -536,10 +547,27 @@ INSTANTIATE_TEST_SUITE_P(
                           StreamKind::Backward, StreamKind::Jittered,
                           StreamKind::LineCrossing, StreamKind::StoreHeavy,
                           StreamKind::Mixed, StreamKind::BucketAliased,
-                          StreamKind::RepeatHeavy),
+                          StreamKind::RepeatHeavy, StreamKind::L3Resident),
         ::testing::Values(Geometry::Default, Geometry::GraphCc,
                           Geometry::PrefetchOff)),
     paramName);
+
+TEST(SimcacheReferenceStreams, L3ResidentStreamHitsL3) {
+  // The stream is only useful if most L2 misses hit L3 once it is warm.
+  for (Geometry Geo : {Geometry::Default, Geometry::GraphCc}) {
+    CacheHierarchy H(configFor(Geo));
+    StreamGen Gen(StreamKind::L3Resident, test::testSeed(41));
+    for (int I = 0; I < 50000; ++I) {
+      ProbeEvent E = Gen.next();
+      H.onLoad(E.Addr, E.Bytes);
+      if (I == 20000)
+        H.resetCounters();
+    }
+    const CacheCounters &C = H.counters();
+    EXPECT_GT(C.L2Misses, C.Loads / 4) << "geometry " << int(Geo);
+    EXPECT_LT(C.LlcMisses, C.L2Misses / 20) << "geometry " << int(Geo);
+  }
+}
 
 TEST(SimcacheReferenceDeathTest, StreamTableIsAtMost32) {
   EXPECT_DEATH(StreamPrefetcher P(33), "stream table size");

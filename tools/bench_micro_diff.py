@@ -24,6 +24,12 @@ called SkipWithError, such as BM_ProbeBatchReplayExactness on a counter
 divergence) fails the run with its error_message, whatever the machine:
 its time is meaningless and the error is the result.
 
+bench_micro_simcache records the cache-set kernel it ran (context key
+simcache_kernel: avx512 or scalar; a report from before the key has
+none). When the two reports name different kernels both are printed and
+the timings are still compared: a CPU without AVX-512F runs the scalar
+kernel the committed baseline was taken with.
+
 Same comparability rule as bench_diff.py: a baseline captured on a
 different CPU count (google-benchmark's context.num_cpus) is refused —
 every shared benchmark is warned about and skipped, exit 0 unless
@@ -40,8 +46,8 @@ import sys
 
 
 def load_report(path):
-    """Returns ({name: time_ns}, {name: error_message}, num_cpus) from a
-    gbench JSON.
+    """Returns ({name: time_ns}, {name: error_message}, num_cpus,
+    simcache_kernel) from a gbench JSON.
 
     The time is real_time for /real_time benchmarks, else cpu_time.
     Rows with error_occurred set go into the error map, not the times.
@@ -69,8 +75,10 @@ def load_report(path):
     if not times and not errors:
         sys.stderr.write(f"bench_micro_diff: {path} has no benchmarks\n")
         sys.exit(2)
-    cpus = doc.get("context", {}).get("num_cpus")
-    return times, errors, (int(cpus) if cpus is not None else None)
+    context = doc.get("context", {})
+    cpus = context.get("num_cpus")
+    return (times, errors, (int(cpus) if cpus is not None else None),
+            context.get("simcache_kernel"))
 
 
 def main():
@@ -87,8 +95,8 @@ def main():
                          "the baseline's CPU count does not match")
     args = ap.parse_args()
 
-    cur, cur_errors, cur_cpus = load_report(args.current)
-    base, _, base_cpus = load_report(args.baseline)
+    cur, cur_errors, cur_cpus, cur_kernel = load_report(args.current)
+    base, _, base_cpus, base_kernel = load_report(args.baseline)
     if cur_errors:
         for name, message in sorted(cur_errors.items()):
             sys.stderr.write(f"bench_micro_diff: ERROR: {name}: "
@@ -99,6 +107,9 @@ def main():
     def fmt(n):
         return str(n) if n is not None else "unknown"
     print(f"  cpus: current {fmt(cur_cpus)}, baseline {fmt(base_cpus)}")
+    if cur_kernel != base_kernel:
+        print(f"  simcache kernel: current {fmt(cur_kernel)}, baseline "
+              f"{fmt(base_kernel)} (compared anyway)")
     if cur_cpus != base_cpus:
         for name in common:
             sys.stderr.write(
